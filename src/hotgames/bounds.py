@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dyadic import Dyadic, dyadic
+from .dyadic import ZERO, Dyadic, dyadic
 from .errors import CeilingExceededError, DomainError, EmptyClassError
 from .games import Game, GameStore
 from .thermal import ell, stops, temperature
-
-ZERO = Dyadic(0)
 
 
 @dataclass(frozen=True)

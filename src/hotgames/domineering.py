@@ -140,10 +140,10 @@ def _reflection_key(cells: frozenset[Cell]):
 
 
 def dom_game(board: DomBoard, store: GameStore) -> Game:
-    """Game value node of a Domineering position.
+    """Canonical game value of a Domineering position.
 
-    Components are evaluated independently and summed; each component is
-    memoized under translation + reflection.
+    Components are evaluated independently and summed; each component's
+    canonical value is memoized under translation + reflection.
     """
     memo = store.cache("domineering")
 
@@ -164,11 +164,11 @@ def dom_game(board: DomBoard, store: GameStore) -> Game:
                 left.append(value(cells - {(x, y), (x, y + 1)}))
             if (x + 1, y) in cells:
                 right.append(value(cells - {(x, y), (x + 1, y)}))
-        res = store._node(left, right)
+        res = store._canonical(store._node(left, right))
         memo[key] = res
         return res
 
-    return Game(store, value(board.cells))
+    return Game(store, store._canonical(value(board.cells)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,14 @@ the same id, so node equality is id equality and the reachable game graph
 is a shared DAG. All semantic queries (outcome, order, canonical form)
 are memoized per store.
 
+Canonical at the boundary: the `+`/`-` operators on `Game` canonicalize
+both operands and return the canonical form of the sum, and so do the
+board evaluators and cooling (`dom_game`, `snort_game`, `thermal.cool`).
+`GameStore.add`/`add_all` return an exact sum of the nodes given, but its
+node structure is not guaranteed to be the raw disjunctive sum: literal
+canonical numbers add as numbers, and a canonical non-number G plus a
+number x is built by number translation as {G^L + x | G^R + x}.
+
 Handle ids are session-local bookkeeping. Nothing semantic is ever
 derived from their numeric values, and they are never serialized.
 """
@@ -101,10 +109,14 @@ class Game:
         return self.store.negate(self)
 
     def __add__(self, other: "Game") -> "Game":
-        return self.store.add(self, other)
+        """Canonical form of the sum of the operands' canonical forms."""
+        store = self.store
+        a = store._canonical(self.id)
+        b = store._canonical(store._check(other))
+        return Game(store, store._canonical(store._add(a, b)))
 
     def __sub__(self, other: "Game") -> "Game":
-        return self.store.add(self, self.store.negate(other))
+        return self + -self.store.canonical(other)
 
     # -- queries ----------------------------------------------------------
 
@@ -139,7 +151,10 @@ class GameStore:
 
     Operations may be called from several threads; node allocation is
     locked and every memo entry is a pure function of immutable nodes, so
-    racing writers can only ever store identical values.
+    racing writers can only ever store identical values. The one exception
+    is `_memo_add`: which sum node a pair gets depends on which operands are
+    already known to be canonical, so racing writers store equal values,
+    not always the same node.
     """
 
     def __init__(self, max_nodes: int | None = None) -> None:
@@ -158,6 +173,7 @@ class GameStore:
         self._caches: dict[str, dict] = {}
 
         self.zero = self.make([], [])
+        self._register_number(Dyadic(0), self.zero.id)
         self.star = self.make([self.zero], [self.zero])
         self.up = self.make([self.zero], [self.star])
         self.down = self.make([self.star], [self.zero])
@@ -215,10 +231,18 @@ class GameStore:
         got = memo.get(i)
         if got is not None:
             return got
-        res = self._node(
-            [self._negate(r) for r in self._right[i]],
-            [self._negate(l) for l in self._left[i]],
-        )
+        canonical = self._memo_canonical.get(i) == i
+        x = self._memo_number.get(i)
+        if x is not None:
+            res = self._number(-x)
+        else:
+            res = self._node(
+                [self._negate(r) for r in self._right[i]],
+                [self._negate(l) for l in self._left[i]],
+            )
+            if canonical:
+                # the negative of a canonical non-number is one too
+                self._mark_canonical(res, None)
         memo[i] = res
         memo[res] = i
         return res
@@ -236,13 +260,37 @@ class GameStore:
         got = memo.get(key)
         if got is not None:
             return got
-        left = [self._add(al, b) for al in self._left[a]]
-        left += [self._add(a, bl) for bl in self._left[b]]
-        right = [self._add(ar, b) for ar in self._right[a]]
-        right += [self._add(a, br) for br in self._right[b]]
-        res = self._node(left, right)
+        # literal canonical numbers carry their value in _memo_number, and a
+        # canonical non-number carries None there; read the canonical marks
+        # first, since _mark_canonical writes them second (threads)
+        canon = self._memo_canonical
+        a_canonical = canon.get(a) == a
+        b_canonical = canon.get(b) == b
+        x = self._memo_number.get(a)
+        y = self._memo_number.get(b)
+        if x is not None and y is not None:
+            res = self._number(x + y)
+        elif y is not None and a_canonical:
+            res = self._translate(a, b)
+        elif x is not None and b_canonical:
+            res = self._translate(b, a)
+        else:
+            left = [self._add(al, b) for al in self._left[a]]
+            left += [self._add(a, bl) for bl in self._left[b]]
+            right = [self._add(ar, b) for ar in self._right[a]]
+            right += [self._add(a, br) for br in self._right[b]]
+            res = self._node(left, right)
         memo[key] = res
         return res
+
+    def _translate(self, g: int, x: int) -> int:
+        """G + x = {G^L + x | G^R + x} for a number x and a G that is not
+        equal to a number (number translation; Siegel, Combinatorial Game
+        Theory, ch. II). A canonical non-number is never equal to one."""
+        return self._node(
+            [self._add(gl, x) for gl in self._left[g]],
+            [self._add(gr, x) for gr in self._right[g]],
+        )
 
     def add_all(self, games: Sequence[Game]) -> Game:
         """Sum of several components, folded in sorted id order.
@@ -296,6 +344,12 @@ class GameStore:
         got = memo.get(key)
         if got is not None:
             return got
+        # two literal canonical numbers compare as dyadics
+        x = self._memo_number.get(a)
+        if x is not None:
+            y = self._memo_number.get(b)
+            if y is not None:
+                return x <= y
         res = all(not self._leq(b, al) for al in self._left[a]) and all(
             not self._leq(br, a) for br in self._right[b]
         )
@@ -353,35 +407,51 @@ class GameStore:
             if not replaced:
                 break
         res = self._node(left, right)
+        self._mark_canonical(res, self._number_value(res))
         memo[i] = res
-        memo[res] = res
         return res
+
+    def _mark_canonical(self, i: int, x: Dyadic | None) -> None:
+        """Record that node i is a canonical form with number value x (None
+        for a non-number). Every node fixed by `_memo_canonical` has its
+        `_memo_number` entry, so after the canonical check one lookup tells
+        a number from a non-number. The number entry is written first, so a
+        thread that reads the canonical mark before it sees both."""
+        self._memo_number[i] = x
+        self._memo_canonical[i] = i
 
     # -- numbers ----------------------------------------------------------
 
     def number(self, value) -> Game:
         """Canonical-form node of a dyadic rational."""
-        x = dyadic(value)
+        return Game(self, self._number(dyadic(value)))
+
+    def _number(self, x: Dyadic) -> int:
         got = self._numbers.get(x)
         if got is not None:
-            return Game(self, got)
-        if x.is_integer:
-            n = x.num
-            if n == 0:
-                node = self.zero.id
-            elif n > 0:
-                node = self._node([self.number(n - 1).id], [])
-            else:
-                node = self._node([], [self.number(n + 1).id])
-        else:
+            return got
+        if not x.is_integer:
             step = Dyadic(1, x.exp)
-            node = self._node(
-                [self.number(x - step).id], [self.number(x + step).id]
-            )
+            node = self._node([self._number(x - step)], [self._number(x + step)])
+            self._register_number(x, node)
+            return node
+        # n = {n-1|} and -n = {|-n+1}: walk towards 0 to the nearest
+        # integer already interned (0 always is), then build back out
+        n = x.num
+        sign = 1 if n > 0 else -1
+        k = n - sign
+        while Dyadic(k) not in self._numbers:
+            k -= sign
+        node = self._numbers[Dyadic(k)]
+        while k != n:
+            k += sign
+            node = self._node([node], []) if sign > 0 else self._node([], [node])
+            self._register_number(Dyadic(k), node)
+        return node
+
+    def _register_number(self, x: Dyadic, node: int) -> None:
         self._numbers[x] = node
-        self._memo_number[node] = x
-        self._memo_canonical[node] = node
-        return Game(self, node)
+        self._mark_canonical(node, x)
 
     def _number_value(self, i: int) -> Dyadic | None:
         """Value of a node that is literally a canonical-form number.

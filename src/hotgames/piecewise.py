@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .dyadic import Dyadic
-
-MINUS_ONE = Dyadic(-1)
+from .dyadic import MINUS_ONE, Dyadic
 
 Point = tuple[Dyadic, Dyadic]
 

@@ -15,10 +15,6 @@ _W, _H = 480, 360
 _PAD = 48
 
 
-def thermograph_json(th: Thermograph) -> dict:
-    return th.to_json_dict()
-
-
 def thermograph_svg(th: Thermograph, title: str | None = None) -> str:
     xs = [float(x) for _, x in th.left_wall + th.right_wall]
     ts = [float(t) for t, _ in th.left_wall + th.right_wall]

@@ -295,8 +295,8 @@ def canonical_key(board: SnortBoard):
 
 
 def snort_game(board: SnortBoard, store: GameStore) -> Game:
-    """Game value node of a Snort position; connected components are
-    evaluated independently and summed."""
+    """Canonical game value of a Snort position; connected components are
+    evaluated independently, memoized in canonical form, and summed."""
     memo = store.cache("snort")
 
     def value(b: SnortBoard) -> int:
@@ -309,11 +309,11 @@ def snort_game(board: SnortBoard, store: GameStore) -> Game:
             return got
         left = [value(nb) for nb in b.moves(True)]
         right = [value(nb) for nb in b.moves(False)]
-        res = store._node(left, right)
+        res = store._canonical(store._node(left, right))
         memo[key] = res
         return res
 
-    return Game(store, value(board))
+    return Game(store, store._canonical(value(board)))
 
 
 # ---------------------------------------------------------------------------

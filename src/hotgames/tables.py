@@ -82,12 +82,28 @@ class TableCell:
     computed: Dyadic | None
     reference: Dyadic | None
     truncated: bool = False
+    number: bool = False  # the board's value is an exact number
 
     @property
     def match(self) -> bool | None:
         if self.computed is None or self.reference is None:
             return None
         return self.computed == self.reference
+
+    @property
+    def flag(self) -> str:
+        """Why a cell agrees or not. NUMBER: the table prints 0 for a board
+        that is an exact number, whose definition-exact temperature is
+        negative (-1/2^k for m/2^k)."""
+        if self.truncated:
+            return "TRUNCATED"
+        if self.match is None:
+            return ""
+        if self.match:
+            return "ok"
+        if self.number and self.reference == 0:
+            return "NUMBER"
+        return "MISMATCH"
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,6 +112,7 @@ class TableCell:
             "computed": None if self.computed is None else str(self.computed),
             "reference": None if self.reference is None else str(self.reference),
             "match": self.match,
+            "flag": self.flag,
             "truncated": self.truncated,
         }
 
@@ -108,10 +125,6 @@ class Table:
     @property
     def truncated(self) -> bool:
         return any(c.truncated for c in self.cells)
-
-    @property
-    def mismatches(self) -> list[TableCell]:
-        return [c for c in self.cells if c.match is False]
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,25 +139,24 @@ class Table:
         for c in self.cells:
             comp = "(budget)" if c.truncated else str(c.computed)
             ref = "-" if c.reference is None else str(c.reference)
-            flag = {True: "ok", False: "MISMATCH", None: ""}[c.match]
-            if c.truncated:
-                flag = "TRUNCATED"
-            lines.append(f"{c.row:8} {c.n:>3} {comp:>10} {ref:>10}  {flag}")
+            lines.append(f"{c.row:8} {c.n:>3} {comp:>10} {ref:>10}  {c.flag}")
         return "\n".join(lines)
 
 
-def _cell(table: Table, row: str, n: int, reference, deadline: Deadline, compute):
-    """Compute one cell, degrading to an explicit truncation marker."""
+def _cell(table: Table, row: str, n: int, reference, deadline: Deadline, board_value):
+    """Compute one cell's temperature from its board's value, degrading to
+    an explicit truncation marker."""
     if deadline.expired:
         table.cells.append(TableCell(row, n, None, reference, truncated=True))
         return
     try:
         deadline.check()
-        value = compute()
+        value = board_value()
+        temp = temperature(value)
     except (TimeBudgetError, NodeBudgetError):
         table.cells.append(TableCell(row, n, None, reference, truncated=True))
         return
-    table.cells.append(TableCell(row, n, value, reference))
+    table.cells.append(TableCell(row, n, temp, reference, number=value.is_number()))
 
 
 def domineering_2xn_table(
@@ -159,7 +171,7 @@ def domineering_2xn_table(
             n,
             dom_2xn_reference(n),
             deadline,
-            lambda n=n: temperature(dom_game(grid(2, n), store)),
+            lambda n=n: dom_game(grid(2, n), store),
         )
     return table
 
@@ -181,7 +193,7 @@ def snort_path_table(
                 n,
                 refs.get(n),
                 deadline,
-                lambda b=board: temperature(snort_game(b, store)),
+                lambda b=board: snort_game(b, store),
             )
     return table
 
@@ -198,7 +210,7 @@ def snort_2xn_table(
             n,
             SNORT_2XN_REFERENCE.get(n),
             deadline,
-            lambda n=n: temperature(snort_game(snort_grid(2, n), store)),
+            lambda n=n: snort_game(snort_grid(2, n), store),
         )
     return table
 

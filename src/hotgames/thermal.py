@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyadic import Dyadic, dyadic
+from .dyadic import MINUS_ONE, ZERO, Dyadic, dyadic
 from .errors import DomainError, NotHotError, WrongShapeError
 from .games import Game
 from .piecewise import (
@@ -20,9 +20,6 @@ from .piecewise import (
     merge_max,
     merge_min,
 )
-
-MINUS_ONE = Dyadic(-1)
-ZERO = Dyadic(0)
 
 Point = tuple[Dyadic, Dyadic]
 
@@ -100,14 +97,10 @@ class Thermograph:
         return self.mast
 
     def left_x(self, t: Dyadic) -> Dyadic:
-        return self._traj(self.left_wall).value(t)
+        return Trajectory(self.left_wall).value(t)
 
     def right_x(self, t: Dyadic) -> Dyadic:
-        return self._traj(self.right_wall).value(t)
-
-    @staticmethod
-    def _traj(wall: tuple[Point, ...]) -> Trajectory:
-        return Trajectory(wall)
+        return Trajectory(self.right_wall).value(t)
 
     def validate(self) -> "Thermograph":
         for wall, slopes in ((self.left_wall, {0, -1}), (self.right_wall, {0, 1})):
@@ -200,8 +193,8 @@ def temp_mean(g: Game) -> tuple[Dyadic, Dyadic]:
 
 
 def cool(g: Game, t) -> Game:
-    """G cooled by t (exact). Integers are fixed points; past the
-    temperature the result is the mast value as a number."""
+    """G cooled by t (exact), in canonical form. Integers are fixed points;
+    past the temperature the result is the mast value as a number."""
     t = dyadic(t)
     if t < MINUS_ONE:
         raise DomainError(f"cooling needs t >= -1, got {t}")
@@ -223,7 +216,8 @@ def cool(g: Game, t) -> Game:
             tax = store.number(t).id
             left = [store._add(rec(l, t), store._negate(tax)) for l in store._left[ci]]
             right = [store._add(rec(r, t), tax) for r in store._right[ci]]
-            res = store._node(left, right)
+            # canonical, so the tax sums one level up translate it by a number
+            res = store._canonical(store._node(left, right))
         memo[key] = res
         return res
 

@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 
 from .bounds import confusion_witness, tightness_sequence
 from .domineering import dom_game, snake_enumerate
-from .dyadic import Dyadic
+from .dyadic import ZERO, Dyadic
 from .games import GameStore, Outcome
 from .sampling import random_game
 from .thermal import ell, left_stop, right_stop, stops, temperature
-
-ZERO = Dyadic(0)
 
 
 @dataclass

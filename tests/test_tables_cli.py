@@ -1,6 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from hotgames import Dyadic, GameStore, parse_expr
 from hotgames.budget import Deadline
@@ -31,6 +35,7 @@ def test_domineering_table_small(store):
     assert by_n[2].match and by_n[3].match and by_n[4].match
     assert by_n[1].match is False  # 2x1 is the integer 1: temperature -1
     assert by_n[1].computed == D(-1)
+    assert by_n[1].to_json_dict()["flag"] == "NUMBER"
     assert not table.truncated
 
 
@@ -143,8 +148,10 @@ def test_board_command_snort(tmp_path):
 def test_tables_command_exit_codes():
     code, out = run_cli("tables", "snortpaths", "--max-n", "5")
     assert code == 0 and "MISMATCH" not in out
-    code, out = run_cli("tables", "domineering2xn", "--max-n", "3")
-    assert code == 0 and "MISMATCH" in out  # the 2x1 number cell
+    code, out = run_cli("tables", "domineering2xn", "--max-n", "14")
+    flags = {line.split()[1]: line.split()[-1] for line in out.splitlines()[3:]}
+    # 2x1, 2x5 and 2x13 are the numbers 1, 1/2 and 0: the table prints 0
+    assert code == 0 and flags["1"] == "NUMBER" and "MISMATCH" not in out
 
 
 def test_tables_budget_exit_3():
@@ -193,3 +200,33 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "outcome      N" in proc.stdout
+
+
+def _hotgames(*argv):
+    import hotgames
+
+    env = {**os.environ, "PYTHONPATH": str(Path(hotgames.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "hotgames", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "expr, temperature, mean",
+    [
+        # {n|n-1} compares two long integer chains while canonicalizing
+        ("{30000|29999}", "1/2", "59999/2"),
+        # a 200000-step integer chain
+        ("200000", "-1", "200000"),
+    ],
+)
+def test_eval_deep_numbers_exit_cleanly(expr, temperature, mean):
+    proc = _hotgames("eval", expr)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert f"temperature  {temperature}\n" in proc.stdout
+    assert f"mean         {mean}\n" in proc.stdout
