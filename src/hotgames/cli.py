@@ -16,12 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .bounds import class_scan, minimal_confusion_k
 from .budget import Deadline
 from .domineering import DomBoard, dom_game, snake_enumerate
-from .dyadic import Dyadic
+from .dyadic import Dyadic, dyadic
 from .errors import (
     CgtError,
     NodeBudgetError,
@@ -42,28 +41,29 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    format: str = "text"
-    max_n: int | None = None
-    max_nodes: int | None = None
-    time_budget_s: float | None = None
-    epsilon: str = "up"
-    step: str = "1/2"
+def _positive(convert):
+    """argparse type: `convert` the text, then reject values that are not > 0."""
 
-    def __post_init__(self):
-        if self.max_nodes is not None and self.max_nodes <= 0:
-            raise ValueError("--max-nodes must be positive")
-        if self.time_budget_s is not None and self.time_budget_s <= 0:
-            raise ValueError("--time-budget-s must be positive")
+    def check(text: str):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    check.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return check
+
+
+positive_int = _positive(int)
+positive_float = _positive(float)
+positive_dyadic = _positive(dyadic)
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hotgames", description=__doc__.split("\n")[0])
-    p.add_argument("--max-nodes", type=int, default=None, help="store node budget")
+    p.add_argument("--max-nodes", type=positive_int, help="store node budget")
     p.add_argument(
-        "--time-budget-s", type=float, default=None, help="wall-clock budget (seconds)"
+        "--time-budget-s", type=positive_float, help="wall-clock budget (seconds)"
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pta = sub.add_parser("tables", help="recompute a published temperature table")
     pta.add_argument("which", choices=sorted(TABLES))
-    pta.add_argument("--max-n", type=int, default=None)
+    pta.add_argument("--max-n", type=positive_int)
     pta.add_argument("--format", **fmt)
 
     pv = sub.add_parser("verify", help="run a verification suite")
@@ -96,9 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "which", choices=("snakes", "snortpaths", "integers", "graphs")
     )
-    ps.add_argument("--max-n", type=int, default=None)
+    ps.add_argument("--max-n", type=positive_int)
     ps.add_argument("--epsilon", choices=("up", "star", "zero"), default="up")
-    ps.add_argument("--step", default="1/2", help="grid step for witness searches")
+    ps.add_argument(
+        "--step",
+        type=positive_dyadic,
+        default="1/2",
+        help="grid step for witness searches",
+    )
     ps.add_argument("--format", **fmt)
 
     return p
@@ -183,7 +188,7 @@ def cmd_board(args, store: GameStore) -> int:
 
 def cmd_tables(args, store: GameStore, deadline: Deadline) -> int:
     builder, default_n = TABLES[args.which]
-    table = builder(store, args.max_n or default_n, deadline)
+    table = builder(store, default_n if args.max_n is None else args.max_n, deadline)
     _emit(table.to_json_dict(), args.format, table.render_text)
     return EXIT_BUDGET if table.truncated else EXIT_OK
 
@@ -197,81 +202,94 @@ def cmd_verify(args, store: GameStore) -> int:
 
 
 def _scan_positions(which: str, max_n: int | None, store: GameStore):
+    """Class label and (position label, game) pairs of a scanned class."""
+    n = 8 if max_n is None else max_n
     if which == "snakes":
-        n = max_n or 8
         return (
             f"domineering snakes fitting 2x{n}",
-            [dom_game(b, store) for b in snake_enumerate(n)],
+            [
+                (b.format().replace("\n", "/"), dom_game(b, store))
+                for b in snake_enumerate(n)
+            ],
         )
     if which == "snortpaths":
-        n = max_n or 8
-        boards = []
+        positions = []
         for family in ("P", "LP", "LPL", "LPR"):
             for i in range(1, n + 1):
                 b = snort_path_board(family, i)
                 if b is not None:
-                    boards.append(b)
-        return (f"snort decorated paths, n <= {n}", [snort_game(b, store) for b in boards])
+                    positions.append((f"{family} {i}", snort_game(b, store)))
+        return f"snort decorated paths, n <= {n}", positions
     if which == "integers":
-        return ("integers -3..3", [store.number(i) for i in range(-3, 4)])
+        return "integers -3..3", [(str(i), store.number(i)) for i in range(-3, 4)]
     raise AssertionError(which)
 
 
 def cmd_scan(args, store: GameStore) -> int:
     if args.which == "graphs":
         return _cmd_scan_graphs(args, store)
-    label, games = _scan_positions(args.which, args.max_n, store)
-    report = class_scan(games, label)
+    label, positions = _scan_positions(args.which, args.max_n, store)
+    report = class_scan((g for _, g in positions), label)
     eps = {"up": store.up, "star": store.star, "zero": store.zero}[args.epsilon]
-    step = Dyadic.parse(args.step)
-    witness_k = max(
-        (minimal_confusion_k(g, step=step, eps=eps) for g in games),
-        default=Dyadic(0),
-    )
+    step = args.step
+    witness_ks = [
+        (name, minimal_confusion_k(g, step=step, eps=eps)) for name, g in positions
+    ]
+    witness_k = max(k for _, k in witness_ks)  # class_scan rejects an empty class
     payload = report.to_json_dict()
     payload["max_minimal_witness_k"] = str(witness_k)
     payload["witness_epsilon"] = args.epsilon
     payload["witness_step"] = str(step)
-    _emit(
-        payload,
-        args.format,
-        lambda: "\n".join(
-            [
-                f"class            {report.class_label}",
-                f"positions        {report.positions_scanned}",
-                f"max ell (K)      {report.max_ell}",
-                f"max option ell J {report.max_ell_options}",
-                f"bound K/2 + J    {report.bp_bound}",
-                f"max temperature  {report.max_observed_temp}",
-                f"witness K (max)  {witness_k}"
-                f"  [step {step}, epsilon {args.epsilon}]",
-            ]
-        ),
-    )
+    payload["positions"] = [
+        {"position": name, "minimal_witness_k": str(k)} for name, k in witness_ks
+    ]
+
+    def text():
+        lines = [
+            f"class            {report.class_label}",
+            f"positions        {report.positions_scanned}",
+            f"max ell (K)      {report.max_ell}",
+            f"max option ell J {report.max_ell_options}",
+            f"bound K/2 + J    {report.bp_bound}",
+            f"max temperature  {report.max_observed_temp}",
+            f"witness K (max)  {witness_k}  [step {step}, epsilon {args.epsilon}]",
+            "minimal witness K per position:",
+        ]
+        width = max(len(name) for name, _ in witness_ks)
+        lines += [f"  {name:{width}}  {k}" for name, k in witness_ks]
+        return "\n".join(lines)
+
+    _emit(payload, args.format, text)
     return EXIT_OK
 
 
 def _cmd_scan_graphs(args, store: GameStore) -> int:
     """Degree-conjecture scan: is t(G) <= max degree on every connected
     graph? Counterexamples are findings, not failures."""
-    n = args.max_n or 6
+    n = 6 if args.max_n is None else args.max_n
     scanned = 0
+    hottest = {}
     findings = []
-    for board in graph_enumerate(n, cap=max(n, 6)):
+    for board in graph_enumerate(n):
         scanned += 1
         t = temperature(snort_game(board, store))
-        if not t <= Dyadic(board.degree()):
-            findings.append(
-                {"board": board.format(), "temperature": str(t), "degree": board.degree()}
-            )
+        d = board.degree()
+        hottest[d] = max(t, hottest.get(d, t))
+        if not t <= Dyadic(d):
+            findings.append({"board": board.format(), "temperature": str(t), "degree": d})
     payload = {
         "scan": f"snort temperature vs board degree, connected graphs <= {n} vertices",
         "graphs_scanned": scanned,
+        "hottest_by_degree": {str(d): str(hottest[d]) for d in sorted(hottest)},
         "counterexamples": findings,
     }
 
     def text():
         lines = [payload["scan"], f"graphs scanned   {scanned}"]
+        lines += [
+            f"max degree {d}     hottest temperature {t}"
+            for d, t in payload["hottest_by_degree"].items()
+        ]
         if findings:
             lines.append(f"counterexamples  {len(findings)} (conjecture fails)")
             for f in findings:
@@ -291,21 +309,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        config = RunConfig(
-            command=args.command,
-            format=getattr(args, "format", "text"),
-            max_n=getattr(args, "max_n", None),
-            max_nodes=args.max_nodes,
-            time_budget_s=args.time_budget_s,
-            epsilon=getattr(args, "epsilon", "up"),
-            step=getattr(args, "step", "1/2"),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    store = GameStore(max_nodes=config.max_nodes)
-    deadline = Deadline(config.time_budget_s)
+    store = GameStore(max_nodes=args.max_nodes)
+    deadline = Deadline(args.time_budget_s)
     try:
         if args.command == "eval":
             return cmd_eval(args, store)

@@ -67,6 +67,19 @@ class Trajectory:
         return Trajectory(((MINUS_ONE, x),))
 
 
+def drop_collinear(points: list[Point]) -> list[Point]:
+    """Delete, in place, every interior breakpoint that lies on the line
+    through its neighbours; both endpoints are always kept."""
+    i = 1
+    while i < len(points) - 1:
+        (t0, x0), (t1, x1), (t2, x2) = points[i - 1], points[i], points[i + 1]
+        if (x1 - x0) * (t2 - t1) == (x2 - x1) * (t1 - t0):
+            del points[i]
+        else:
+            i += 1
+    return points
+
+
 def normalize(points: list[Point]) -> Trajectory:
     """Drop repeated and collinear breakpoints."""
     out: list[Point] = []
@@ -76,13 +89,7 @@ def normalize(points: list[Point]) -> Trajectory:
                 raise ValueError(f"conflicting values at t={p[0]}")
             continue
         out.append(p)
-    i = 1
-    while i < len(out) - 1:
-        (t0, x0), (t1, x1), (t2, x2) = out[i - 1], out[i], out[i + 1]
-        if (x1 - x0) * (t2 - t1) == (x2 - x1) * (t1 - t0):
-            del out[i]
-        else:
-            i += 1
+    drop_collinear(out)
     # a final segment of slope 0 is already implied by the constant tail
     if len(out) >= 2 and out[-1][1] == out[-2][1]:
         del out[-1]

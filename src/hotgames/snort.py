@@ -320,13 +320,18 @@ def snort_game(board: SnortBoard, store: GameStore) -> Game:
 # graph enumeration (degree-conjecture scans)
 
 
-def graph_enumerate(max_vertices: int, cap: int = 6) -> Iterator[SnortBoard]:
+# the census doubles in size with every vertex, and scans beyond six
+# vertices stop being desk-scale
+GRAPH_VERTEX_CAP = 6
+
+
+def graph_enumerate(max_vertices: int) -> Iterator[SnortBoard]:
     """All connected untinted graphs with 1..max_vertices vertices, up to
-    isomorphism. Guarded by a cap: the census doubles in size with every
-    vertex, and scans beyond six vertices stop being desk-scale."""
-    if max_vertices > cap:
+    isomorphism, for max_vertices <= GRAPH_VERTEX_CAP."""
+    if max_vertices > GRAPH_VERTEX_CAP:
         raise CeilingExceededError(
-            f"graph enumeration capped at {cap} vertices (asked for {max_vertices})"
+            f"graph enumeration capped at {GRAPH_VERTEX_CAP} vertices "
+            f"(asked for {max_vertices})"
         )
     for n in range(1, max_vertices + 1):
         seen = set()

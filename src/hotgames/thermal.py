@@ -15,13 +15,13 @@ from .dyadic import MINUS_ONE, ZERO, Dyadic, dyadic
 from .errors import DomainError, NotHotError, WrongShapeError
 from .games import Game
 from .piecewise import (
+    Point,
     Trajectory,
+    drop_collinear,
     freeze_point,
     merge_max,
     merge_min,
 )
-
-Point = tuple[Dyadic, Dyadic]
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +136,8 @@ def _wall_points(scaffold: Trajectory, shear: int, t_star: Dyadic, mast: Dyadic)
             break
         pts.append((t, scaffold.value(t) + t * shear))
     pts.append((t_star, mast))
-    # drop collinear interior points, always keeping both endpoints
-    i = 1
-    while i < len(pts) - 1:
-        (t0, x0), (t1, x1), (t2, x2) = pts[i - 1], pts[i], pts[i + 1]
-        if (x1 - x0) * (t2 - t1) == (x2 - x1) * (t1 - t0):
-            del pts[i]
-        else:
-            i += 1
-    return tuple(pts)
+    # not normalize(): a wall keeps its flat final segment up to (t_star, mast)
+    return tuple(drop_collinear(pts))
 
 
 def thermograph(g: Game) -> Thermograph:

@@ -189,7 +189,54 @@ def test_scan_graphs_findings():
     assert code == 0
     payload = json.loads(out)
     assert payload["graphs_scanned"] == 10
+    assert payload["hottest_by_degree"] == {"0": "0", "1": "1", "2": "2", "3": "3"}
     assert payload["counterexamples"] == []
+
+
+def test_scan_graphs_past_the_cap_exit_2(capsys):
+    assert main(["scan", "graphs", "--max-n", "7"]) == 2
+    assert "capped at 6" in capsys.readouterr().err
+
+
+def test_scan_snortpaths_witness_k_per_position():
+    code, out = run_cli(
+        "scan", "snortpaths", "--max-n", "10", "--step", "1", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    ks = {p["position"]: p["minimal_witness_k"] for p in payload["positions"]}
+    assert len(ks) == payload["positions_scanned"] == 37
+    # K = 4 + up fails on the paths of 3 and 9 vertices
+    assert [ks[f"P {n}"] for n in range(1, 11)] == "1 3 5 4 4 1 4 4 5 4".split()
+    assert payload["max_minimal_witness_k"] == max(ks.values(), key=D.parse)
+    code, text = run_cli("scan", "snortpaths", "--max-n", "10", "--step", "1")
+    assert code == 0
+    assert [line.split()[-1] for line in text.splitlines() if line.startswith("  ")] == [
+        p["minimal_witness_k"] for p in payload["positions"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-nodes", "0", "eval", "0"],
+        ["--time-budget-s", "-1", "eval", "0"],
+        ["tables", "domineering2xn", "--max-n", "0"],
+        ["tables", "snort2xn", "--max-n", "-1"],
+        ["scan", "snakes", "--max-n", "0"],
+        ["scan", "snortpaths", "--max-n", "-1"],
+        ["scan", "snakes", "--step", "0"],
+        ["scan", "snakes", "--step", "x"],
+        ["scan", "integers", "--step", "1/3"],
+    ],
+)
+def test_bad_flag_values_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = next(a for a in argv if a.startswith("--"))
+    assert f"error: argument {flag}: " in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_console_script_installed():
