@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from pathlib import Path
 
 from .bounds import class_scan, minimal_confusion_k
 from .budget import Deadline
@@ -39,6 +41,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# board ruleset -> (board type with a text parser, its value function)
+RULESETS = {"domineering": (DomBoard, dom_game), "snort": (SnortBoard, snort_game)}
 
 
 def _positive(convert):
@@ -78,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--format", choices=("text", "json", "svg"), default="text")
 
     pb = sub.add_parser("board", help="evaluate a ruleset board")
-    pb.add_argument("ruleset", choices=("domineering", "snort"))
+    pb.add_argument("ruleset", choices=RULESETS)
     pb.add_argument("path", nargs="?", help="board file (omit with --text)")
     pb.add_argument("--text", help="inline board text")
     pb.add_argument("--format", **fmt)
@@ -172,15 +177,13 @@ def cmd_thermo(args, store: GameStore) -> int:
 def cmd_board(args, store: GameStore) -> int:
     if (args.path is None) == (args.text is None):
         raise ParseError("provide exactly one of a board file or --text")
-    raw = args.text if args.text is not None else open(args.path).read()
-    if args.ruleset == "domineering":
-        board = DomBoard.parse(raw)
-        g = dom_game(board, store)
-        shown = board.format()
-    else:
-        board = SnortBoard.parse(raw)
-        g = snort_game(board, store)
-        shown = board.format()
+    raw = args.text
+    if raw is None:
+        raw = Path(args.path).read_text(encoding="utf-8")
+    board_type, game_of = RULESETS[args.ruleset]
+    board = board_type.parse(raw)
+    g = game_of(board, store)
+    shown = board.format()
     report = {"board": shown, **_eval_report(g)}
     _emit(report, args.format, lambda: shown + "\n" + _print_eval(report))
     return EXIT_OK
@@ -311,20 +314,25 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     store = GameStore(max_nodes=args.max_nodes)
     deadline = Deadline(args.time_budget_s)
+    commands = {
+        "eval": cmd_eval,
+        "thermo": cmd_thermo,
+        "board": cmd_board,
+        "verify": cmd_verify,
+        "scan": cmd_scan,
+    }
     try:
-        if args.command == "eval":
-            return cmd_eval(args, store)
-        if args.command == "thermo":
-            return cmd_thermo(args, store)
-        if args.command == "board":
-            return cmd_board(args, store)
         if args.command == "tables":
-            return cmd_tables(args, store, deadline)
-        if args.command == "verify":
-            return cmd_verify(args, store)
-        if args.command == "scan":
-            return cmd_scan(args, store)
-        raise AssertionError(args.command)
+            code = cmd_tables(args, store, deadline)
+        else:
+            code = commands[args.command](args, store)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`): nothing failed. Point stdout at
+        # devnull so the interpreter's final flush has somewhere to write.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

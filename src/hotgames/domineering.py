@@ -13,7 +13,7 @@ from importlib import resources
 from typing import Iterator
 
 from .errors import ParseError
-from .games import Game, GameStore
+from .games import Game, GameStore, evaluate
 
 Cell = tuple[int, int]
 
@@ -139,36 +139,22 @@ def _reflection_key(cells: frozenset[Cell]):
     return min(variants)
 
 
+def _moves(cells: frozenset[Cell]):
+    """Left's vertical and Right's horizontal domino placements."""
+    left = [cells - {(x, y), (x, y + 1)} for x, y in cells if (x, y + 1) in cells]
+    right = [cells - {(x, y), (x + 1, y)} for x, y in cells if (x + 1, y) in cells]
+    return left, right
+
+
 def dom_game(board: DomBoard, store: GameStore) -> Game:
     """Canonical game value of a Domineering position.
 
     Components are evaluated independently and summed; each component's
     canonical value is memoized under translation + reflection.
     """
-    memo = store.cache("domineering")
-
-    def value(cells: frozenset[Cell]) -> int:
-        return store.add_all(
-            [Game(store, component(c)) for c in _components(cells)]
-        ).id
-
-    def component(cells: frozenset[Cell]) -> int:
-        key = _reflection_key(cells)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        left = []
-        right = []
-        for x, y in cells:
-            if (x, y + 1) in cells:
-                left.append(value(cells - {(x, y), (x, y + 1)}))
-            if (x + 1, y) in cells:
-                right.append(value(cells - {(x, y), (x + 1, y)}))
-        res = store._canonical(store._node(left, right))
-        memo[key] = res
-        return res
-
-    return Game(store, store._canonical(value(board.cells)))
+    return evaluate(
+        store, board.cells, "domineering", _components, _reflection_key, _moves
+    )
 
 
 # ---------------------------------------------------------------------------

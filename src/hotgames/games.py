@@ -6,6 +6,11 @@ the same id, so node equality is id equality and the reachable game graph
 is a shared DAG. All semantic queries (outcome, order, canonical form)
 are memoized per store.
 
+Board values come from one evaluator, `evaluate`: it splits a position
+into components, memoizes each component's canonical value under a
+ruleset's symmetry key, recurses on the component's options and sums the
+parts. `dom_game` and `snort_game` are calls to it with their hooks.
+
 Canonical at the boundary: the `+`/`-` operators on `Game` canonicalize
 both operands and return the canonical form of the sum, and so do the
 board evaluators and cooling (`dom_game`, `snort_game`, `thermal.cool`).
@@ -490,3 +495,38 @@ class GameStore:
     def plus_minus(self, g: Game) -> Game:
         """{g | -g}."""
         return self.make([g], [self.negate(g)])
+
+
+# ---------------------------------------------------------------------------
+# board evaluation
+
+
+def evaluate(
+    store: GameStore, position, memo_name: str, components, key, moves
+) -> Game:
+    """Canonical game value of a board position under a ruleset's hooks.
+
+    `components(p)` splits a position into independent parts, whose
+    canonical values are summed. Each part's value is memoized in
+    `store.cache(memo_name)` under `key(part)`, which must be equal only
+    for parts of equal value (a translation, symmetry or isomorphism
+    class); `moves(part)` returns its Left and Right option positions.
+    """
+    memo = store.cache(memo_name)
+
+    def value(p) -> int:
+        return store.add_all([Game(store, component(c)) for c in components(p)]).id
+
+    def component(c) -> int:
+        k = key(c)
+        got = memo.get(k)
+        if got is not None:
+            return got
+        left, right = moves(c)
+        res = store._canonical(
+            store._node([value(o) for o in left], [value(o) for o in right])
+        )
+        memo[k] = res
+        return res
+
+    return Game(store, store._canonical(value(position)))

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterator
 
 from .errors import CeilingExceededError, ParseError
-from .games import Game, GameStore
+from .games import Game, GameStore, evaluate
 
 # beyond this many candidate orderings, skip isomorphism reduction and
 # memoize on the labelled structure instead (correct, fewer cache hits)
@@ -297,23 +297,14 @@ def canonical_key(board: SnortBoard):
 def snort_game(board: SnortBoard, store: GameStore) -> Game:
     """Canonical game value of a Snort position; connected components are
     evaluated independently, memoized in canonical form, and summed."""
-    memo = store.cache("snort")
-
-    def value(b: SnortBoard) -> int:
-        return store.add_all([Game(store, component(c)) for c in b.components()]).id
-
-    def component(b: SnortBoard) -> int:
-        key = canonical_key(b)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        left = [value(nb) for nb in b.moves(True)]
-        right = [value(nb) for nb in b.moves(False)]
-        res = store._canonical(store._node(left, right))
-        memo[key] = res
-        return res
-
-    return Game(store, store._canonical(value(board)))
+    return evaluate(
+        store,
+        board,
+        "snort",
+        SnortBoard.components,
+        canonical_key,
+        lambda b: (b.moves(True), b.moves(False)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -143,76 +143,55 @@ class Table:
         return "\n".join(lines)
 
 
-def _cell(table: Table, row: str, n: int, reference, deadline: Deadline, board_value):
-    """Compute one cell's temperature from its board's value, degrading to
-    an explicit truncation marker."""
-    if deadline.expired:
-        table.cells.append(TableCell(row, n, None, reference, truncated=True))
-        return
-    try:
-        deadline.check()
-        value = board_value()
-        temp = temperature(value)
-    except (TimeBudgetError, NodeBudgetError):
-        table.cells.append(TableCell(row, n, None, reference, truncated=True))
-        return
-    table.cells.append(TableCell(row, n, temp, reference, number=value.is_number()))
+def _table(name: str, cells, deadline: Deadline | None) -> Table:
+    """Compute each (row, n, reference, board value thunk) cell's
+    temperature, degrading to an explicit truncation marker once a budget
+    runs out."""
+    deadline = deadline or Deadline()
+    table = Table(name)
+    for row, n, reference, board_value in cells:
+        try:
+            deadline.check()
+            value = board_value()
+            temp = temperature(value)
+        except (TimeBudgetError, NodeBudgetError):
+            table.cells.append(TableCell(row, n, None, reference, truncated=True))
+            continue
+        table.cells.append(TableCell(row, n, temp, reference, number=value.is_number()))
+    return table
 
 
 def domineering_2xn_table(
     store: GameStore, max_n: int, deadline: Deadline | None = None
 ) -> Table:
-    deadline = deadline or Deadline()
-    table = Table("Domineering 2xn temperatures")
-    for n in range(1, max_n + 1):
-        _cell(
-            table,
-            "2xn",
-            n,
-            dom_2xn_reference(n),
-            deadline,
-            lambda n=n: dom_game(grid(2, n), store),
-        )
-    return table
+    cells = (
+        ("2xn", n, dom_2xn_reference(n), lambda n=n: dom_game(grid(2, n), store))
+        for n in range(1, max_n + 1)
+    )
+    return _table("Domineering 2xn temperatures", cells, deadline)
 
 
 def snort_path_table(
     store: GameStore, max_n: int, deadline: Deadline | None = None
 ) -> Table:
-    table = Table("Snort decorated-path temperatures")
-    deadline = deadline or Deadline()
-    for family in ("P", "LP", "LPL", "LPR"):
-        refs = SNORT_PATH_REFERENCE[family]
-        for n in range(1, max_n + 1):
-            board = snort_path_board(family, n)
-            if board is None:
-                continue
-            _cell(
-                table,
-                family,
-                n,
-                refs.get(n),
-                deadline,
-                lambda b=board: snort_game(b, store),
-            )
-    return table
+    cells = (
+        (family, n, refs.get(n), lambda b=board: snort_game(b, store))
+        for family, refs in SNORT_PATH_REFERENCE.items()
+        for n in range(1, max_n + 1)
+        if (board := snort_path_board(family, n)) is not None
+    )
+    return _table("Snort decorated-path temperatures", cells, deadline)
 
 
 def snort_2xn_table(
     store: GameStore, max_n: int, deadline: Deadline | None = None
 ) -> Table:
-    table = Table("Snort 2xn grid temperatures")
-    deadline = deadline or Deadline()
-    for n in range(2, max_n + 1):
-        _cell(
-            table,
-            "2xn",
-            n,
-            SNORT_2XN_REFERENCE.get(n),
-            deadline,
-            lambda n=n: snort_game(snort_grid(2, n), store),
-        )
-    return table
+    refs = SNORT_2XN_REFERENCE
+    cells = (
+        ("2xn", n, refs.get(n), lambda n=n: snort_game(snort_grid(2, n), store))
+        for n in range(2, max_n + 1)
+    )
+    return _table("Snort 2xn grid temperatures", cells, deadline)
 
 
 TABLES = {

@@ -16,7 +16,7 @@ from .domineering import dom_game, snake_enumerate
 from .dyadic import ZERO, Dyadic
 from .games import GameStore, Outcome
 from .sampling import random_game
-from .thermal import ell, left_stop, right_stop, stops, temperature
+from .thermal import ell, left_stop, right_stop, temperature
 
 
 @dataclass
@@ -86,46 +86,44 @@ def verify_snakes(store: GameStore, max_width: int = 8) -> VerifyResult:
     return res
 
 
+# (label, check on a random pair g, h and their sum s) of verify_properties
+_PROPERTIES = (
+    ("LS >= RS", lambda g, h, s: left_stop(g) >= right_stop(g)),
+    ("LS(-G) = -RS(G)", lambda g, h, s: left_stop(-g) == -right_stop(g)),
+    ("o(G - G) = P", lambda g, h, s: (g - g).outcome() == Outcome.P),
+    (
+        "RS(G)+LS(H) <= LS(G+H)",
+        lambda g, h, s: right_stop(g) + left_stop(h) <= left_stop(s),
+    ),
+    (
+        "LS(G+H) <= LS(G)+LS(H)",
+        lambda g, h, s: left_stop(s) <= left_stop(g) + left_stop(h),
+    ),
+    ("ell(G+H) <= ell(G)+ell(H)", lambda g, h, s: ell(s) <= ell(g) + ell(h)),
+    (
+        "t(G+H) <= max(t(G),t(H))",
+        lambda g, h, s: temperature(s) <= max(temperature(g), temperature(h)),
+    ),
+    (
+        "eq(G,H) iff canonical ids equal",
+        lambda g, h, s: g.eq(h) == (g.canonical() == h.canonical()),
+    ),
+)
+
+
 def verify_properties(store: GameStore, count: int = 300, seed: int = 2024) -> VerifyResult:
     """Random-game invariant battery (stop/order/temperature laws)."""
     rng = random.Random(seed)
     res = VerifyResult("properties")
-    bad: dict[str, int] = {}
-
-    def note(label: str, ok: bool):
-        if not ok:
-            bad[label] = bad.get(label, 0) + 1
-
+    bad = {label: 0 for label, _ in _PROPERTIES}
     for _ in range(count):
         g = random_game(rng, store)
         h = random_game(rng, store)
-        note("LS >= RS", left_stop(g) >= right_stop(g))
-        note("LS(-G) = -RS(G)", left_stop(-g) == -right_stop(g))
-        note("o(G - G) = P", (g - g).outcome() == Outcome.P)
         s = g + h
-        ls, rs = stops(s)
-        note("RS(G)+LS(H) <= LS(G+H)", right_stop(g) + left_stop(h) <= ls)
-        note("LS(G+H) <= LS(G)+LS(H)", ls <= left_stop(g) + left_stop(h))
-        note("ell(G+H) <= ell(G)+ell(H)", ell(s) <= ell(g) + ell(h))
-        note(
-            "t(G+H) <= max(t(G),t(H))",
-            temperature(s) <= max(temperature(g), temperature(h)),
-        )
-        note(
-            "eq(G,H) iff canonical ids equal",
-            g.eq(h) == (g.canonical() == h.canonical()),
-        )
-    for label in (
-        "LS >= RS",
-        "LS(-G) = -RS(G)",
-        "o(G - G) = P",
-        "RS(G)+LS(H) <= LS(G+H)",
-        "LS(G+H) <= LS(G)+LS(H)",
-        "ell(G+H) <= ell(G)+ell(H)",
-        "t(G+H) <= max(t(G),t(H))",
-        "eq(G,H) iff canonical ids equal",
-    ):
-        n = bad.get(label, 0)
+        for label, holds in _PROPERTIES:
+            if not holds(g, h, s):
+                bad[label] += 1
+    for label, n in bad.items():
         res.add(f"{label} on {count} random pairs", n == 0, f"{n} violations")
     return res
 

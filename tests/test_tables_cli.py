@@ -42,6 +42,13 @@ def test_domineering_table_small(store):
 def test_snort_path_table_small(store):
     table = snort_path_table(store, 6)
     assert table.cells and all(c.match for c in table.cells)
+    # the impossible corner cells (LPL 1, LPR 1-2) are skipped
+    assert [(c.row, c.n) for c in snort_path_table(store, 3).cells] == [
+        ("P", 1), ("P", 2), ("P", 3),
+        ("LP", 1), ("LP", 2), ("LP", 3),
+        ("LPL", 2), ("LPL", 3),
+        ("LPR", 3),
+    ]
 
 
 def test_snort_2xn_table_small(store):
@@ -145,6 +152,31 @@ def test_board_command_snort(tmp_path):
     assert json.loads(out)["temperature"] == "2"
 
 
+def test_board_file_is_closed(tmp_path):
+    p = tmp_path / "board.txt"
+    p.write_text("##\n##\n", encoding="utf-8")
+    # development mode, with an unclosed file an error rather than a warning
+    dev_mode = ("-X", "dev", "-W", "error::ResourceWarning")
+    proc = _hotgames("board", "domineering", str(p), python_flags=dev_mode)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "outcome      N" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_0_silently(unbuffered):
+    # a reader that has gone away, as with `| head`; with PYTHONUNBUFFERED
+    # empty the output sits in the buffer until the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    argv = ("scan", "snortpaths", "--max-n", "3", "--format", "json")
+    try:
+        proc = _hotgames(*argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_tables_command_exit_codes():
     code, out = run_cli("tables", "snortpaths", "--max-n", "5")
     assert code == 0 and "MISMATCH" not in out
@@ -162,8 +194,12 @@ def test_tables_budget_exit_3():
     assert "TRUNCATED" in out
 
 
-def test_max_nodes_budget_exit_3(capsys):
-    assert main(["--max-nodes", "40", "tables", "snort2xn", "--max-n", "5"]) == 3
+def test_max_nodes_budget_exit_3():
+    code, out = run_cli(
+        "--max-nodes", "40", "tables", "snort2xn", "--max-n", "5", "--format", "json"
+    )
+    flags = [cell["flag"] for cell in json.loads(out)["cells"]]
+    assert code == 3 and flags == ["ok", "ok", "TRUNCATED", "TRUNCATED"]
 
 
 def test_verify_exit_codes():
@@ -249,13 +285,15 @@ def test_console_script_installed():
     assert "outcome      N" in proc.stdout
 
 
-def _hotgames(*argv):
+def _hotgames(*argv, python_flags=(), stdout=subprocess.PIPE, **env):
     import hotgames
 
-    env = {**os.environ, "PYTHONPATH": str(Path(hotgames.__file__).parents[1])}
+    pythonpath = str(Path(hotgames.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": pythonpath, **env}
     return subprocess.run(
-        [sys.executable, "-m", "hotgames", *argv],
-        capture_output=True,
+        [sys.executable, *python_flags, "-m", "hotgames", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=120,
