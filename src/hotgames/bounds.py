@@ -3,9 +3,9 @@
 The witness test plays the difference G^L - G - K + eps and asks whether
 Right wins with Left moving first (i.e. whether it is <= 0). When it
 holds for every Left option, ell(G) <= K, which feeds the class-level
-temperature bound K/2 + J. Difference positions are disjunctive sums, so
-the store's component-wise hash-consing keeps the exhaustive search at
-desk scale.
+temperature bound K/2 + J. The least K on a grid lies in a bracket given
+by the stops of G and of its Left options (the stop inequalities for
+sums), and a bisection inside that bracket finds it.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .dyadic import ZERO, Dyadic, dyadic
-from .errors import CeilingExceededError, DomainError, EmptyClassError
+from .errors import DomainError, EmptyClassError
 from .games import Game, GameStore
-from .thermal import ell, stops, temperature
+from .thermal import ell, left_stop, stops, temperature
 
 
 @dataclass(frozen=True)
@@ -68,49 +68,39 @@ def confusion_witness(g: Game, k, eps: Game | None = None) -> WitnessReport:
     return WitnessReport(g, k, eps, holds, failing)
 
 
-def minimal_confusion_k(
-    g: Game,
-    step=Dyadic(1, 1),
-    eps: Game | None = None,
-    ceiling=Dyadic(256),
-) -> Dyadic:
+def _grid_floor(x: Dyadic, step: Dyadic) -> int:
+    """floor(x / step), in integers."""
+    return (x.num << step.exp) // (step.num << x.exp)
+
+
+def minimal_confusion_k(g: Game, step=Dyadic(1, 1), eps: Game | None = None) -> Dyadic:
     """Smallest multiple of `step` at which the witness holds.
 
-    Galloping + binary search on the grid, assuming the witness is
-    monotone in k; the result and its predecessor are re-verified and on
-    any inconsistency the search falls back to a plain linear scan.
+    With T = max L(G^L), the stop inequalities L(G^L) - L(G) <=
+    L(G^L - G) <= L(G^L) - R(G) make the witness fail below T - L(G) and
+    hold above T - R(G). The witness is monotone in k, so a bisection
+    between those two grid points finds the least one that holds.
     """
     step = dyadic(step)
-    ceiling = dyadic(ceiling)
     if not step > ZERO:
         raise DomainError(f"grid step must be positive, got {step}")
-
-    def holds(mult: int) -> bool:
-        return confusion_witness(g, step * mult, eps).holds
-
-    if holds(0):
+    if eps is None:
+        eps = g.store.up
+    if stops(eps) != (ZERO, ZERO):
+        raise DomainError(f"epsilon {eps} is not an infinitesimal")
+    if not g.left_options:
         return ZERO
-    hi = 1
-    while not holds(hi):
-        hi *= 2
-        if step * hi > ceiling:
-            raise CeilingExceededError(
-                f"no witness constant up to {ceiling} (step {step})"
-            )
-    lo = hi // 2  # fails (or is 0, which failed above)
+    top = max(left_stop(gl) for gl in g.left_options)
+    ls, rs = stops(g)
+    lo = max(-1, -_grid_floor(ls - top, step) - 1)  # last point below T - L(G)
+    hi = max(0, _grid_floor(top - rs, step) + 1)  # first point above T - R(G)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if holds(mid):
+        if confusion_witness(g, step * mid, eps).holds:
             hi = mid
         else:
             lo = mid
-    # monotonicity spot-check around the claimed minimum
-    if holds(hi) and (hi == 1 or not holds(hi - 1)):
-        return step * hi
-    for mult in range(1, hi + 1):  # fallback: linear scan
-        if holds(mult):
-            return step * mult
-    raise CeilingExceededError(f"witness search inconsistent up to {step * hi}")
+    return step * hi
 
 
 @dataclass(frozen=True)

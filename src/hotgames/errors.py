@@ -38,7 +38,7 @@ class EmptyClassError(CgtError):
 
 
 class CeilingExceededError(CgtError):
-    """Grid search for a witness constant ran past its ceiling."""
+    """Graph enumeration was asked for more vertices than its cap."""
 
 
 class NodeBudgetError(CgtError):

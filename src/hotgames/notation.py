@@ -11,7 +11,7 @@ Grammar (whitespace-insensitive, UTF-8):
 "*" (or "∗") is {0|0}, "^" (or "↑") is {0|*}, "v" (or "↓") is its
 negative, and "±G" (ASCII spelling "+-", only in term position)
 abbreviates the switch {G | -G}. Numeric literals must be dyadic:
-"1/3" or "0.1" are rejected.
+"1/3" or "0.1" are rejected. Terms nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import ParseError
 from .games import Game, GameStore
 
 _NUM_START = set("0123456789")
+MAX_NESTING = 10_000  # deeper terms would exhaust the parser's or game layer's stack
 
 
 class _Parser:
@@ -28,6 +29,7 @@ class _Parser:
         self.text = text
         self.store = store
         self.pos = 0
+        self.depth = 0
 
     def fail(self, message: str):
         raise ParseError(message, self.pos)
@@ -65,18 +67,23 @@ class _Parser:
                 return g
 
     def term(self) -> Game:
+        if self.depth > MAX_NESTING:  # depth counts the enclosing terms
+            self.fail("expression nested too deeply")
+        self.depth += 1
+        g = self._term()
+        self.depth -= 1
+        return g
+
+    def _term(self) -> Game:
         c = self.peek()
         if c == "-":
             self.pos += 1
             return -self.term()
-        if c == "±":
-            self.pos += 1
+        if c == "±" or self.text.startswith("+-", self.pos):
+            # "+-" in term position is the ASCII switch prefix
+            self.pos += 1 if c == "±" else 2
             return self.store.plus_minus(self.term())
         if c == "+":
-            # "+-" in term position is the ASCII switch prefix
-            if self.pos + 1 < len(self.text) and self.text[self.pos + 1] == "-":
-                self.pos += 2
-                return self.store.plus_minus(self.term())
             self.fail("unexpected '+'")
         return self.atom()
 

@@ -5,12 +5,14 @@ plus a number by number translation, compares two numbers as dyadics,
 builds integers iteratively, and the board evaluators memoize canonical
 forms. The code here keeps the plain recursions from the definitions,
 with memo tables of its own, so the tests can compare the two. Nodes are
-interned in the store under test, so results compare by id.
+interned in the store under test, so results compare by id. The minimal
+witness constant, which the engine bisects for inside a stop bracket, is
+here the plain scan up the grid.
 """
 
 from __future__ import annotations
 
-from hotgames import Dyadic, GameStore
+from hotgames import Dyadic, Game, GameStore, confusion_witness
 from hotgames.domineering import DomBoard
 from hotgames.snort import SnortBoard
 
@@ -123,3 +125,11 @@ def raw_snort_value(board: SnortBoard, store: GameStore) -> int:
         return res
 
     return value(board)
+
+
+def minimal_k_by_scan(g: Game, step: Dyadic, eps: Game) -> Dyadic:
+    """The first k = 0, step, 2*step, ... at which the witness holds."""
+    k = Dyadic(0)
+    while not confusion_witness(g, k, eps).holds:
+        k += step
+    return k

@@ -1,7 +1,6 @@
 import pytest
 
 from hotgames import (
-    CeilingExceededError,
     DomainError,
     Dyadic,
     EmptyClassError,
@@ -20,6 +19,8 @@ from hotgames import (
 )
 from hotgames.sampling import random_game
 from hotgames.tables import snort_path_board
+
+from oracle import minimal_k_by_scan
 
 D = Dyadic
 
@@ -82,10 +83,39 @@ def test_minimal_k_half_grid(store):
     assert k == D(5, 1)  # 2 + 1/2: '+5/2' brings the stop to -1/2 < 0
 
 
-def test_minimal_k_ceiling(store):
-    g = parse_expr("{100|-100}", store)
-    with pytest.raises(CeilingExceededError):
-        minimal_confusion_k(g, step=1, ceiling=10)
+def test_minimal_k_has_no_ceiling(store):
+    # the stop bracket is [0, 600] and the answer 601 lies past the old
+    # ceiling of 256; epsilon 0 keeps the witness sums small (with up,
+    # the sums walk the integer chains below 300 and take 20 s)
+    g = parse_expr("{300|-300}", store)
+    assert minimal_confusion_k(g, 1, store.zero) == 601
+
+
+@pytest.mark.parametrize("expr", ["{1|-1}", "0"])
+def test_minimal_k_epsilon_must_be_infinitesimal(store, expr):
+    # checked even where the bracket leaves nothing to test ("0" has no
+    # Left option)
+    with pytest.raises(DomainError):
+        minimal_confusion_k(parse_expr(expr, store), 1, store.number(1))
+
+
+def test_minimal_k_matches_linear_scan(store, rng):
+    games = []
+    for family in ("P", "LP", "LPL", "LPR"):
+        for n in range(1, 9):
+            board = snort_path_board(family, n)
+            if board is not None:
+                games.append(snort_game(board, store))
+    # canonical forms, as the scans pass them, and a few smaller raw forms,
+    # whose witness sums are slow to build (the bracket holds for any form)
+    games += [random_game(rng, store, max_depth=2).canonical() for _ in range(200)]
+    games += [random_game(rng, store, max_depth=2, max_options=2) for _ in range(50)]
+    for g in games:
+        for eps in (store.up, store.down, store.star, store.zero):
+            for step in (D(1), D(1, 1), D(1, 2)):
+                assert minimal_confusion_k(g, step, eps) == minimal_k_by_scan(
+                    g, step, eps
+                ), (g, step, eps)
 
 
 def test_witness_soundness_random(store, rng):

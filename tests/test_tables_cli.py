@@ -315,3 +315,31 @@ def test_eval_deep_numbers_exit_cleanly(expr, temperature, mean):
     assert "Traceback" not in proc.stderr
     assert f"temperature  {temperature}\n" in proc.stdout
     assert f"mean         {mean}\n" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        # RecursionError in the parser
+        "{" * 33000 + "*" + "|}" * 33000,
+        # parsed, then SIGSEGV in the game layer's outcome recursion
+        "+-" * 20000 + "1",
+    ],
+    ids=["braces", "switches"],
+)
+def test_eval_too_deep_exit_2(expr):
+    proc = _hotgames("eval", "--", expr)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "expression nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_eval_at_the_nesting_limit():
+    from hotgames.notation import MAX_NESTING
+
+    proc = _hotgames("eval", "--", "+-" * MAX_NESTING + "1")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert "canonical    0\n" in proc.stdout
