@@ -131,10 +131,10 @@ class Thermograph:
 def _wall_points(scaffold: Trajectory, shear: int, t_star: Dyadic, mast: Dyadic):
     """Breakpoints of x(t) = scaffold(t) + shear*t on [-1, t_star]."""
     pts: list[Point] = []
-    for t, _ in scaffold.points:
+    for t, x in scaffold.points:
         if t >= t_star:
             break
-        pts.append((t, scaffold.value(t) + t * shear))
+        pts.append((t, x + t * shear))
     pts.append((t_star, mast))
     # not normalize(): a wall keeps its flat final segment up to (t_star, mast)
     return tuple(drop_collinear(pts))

@@ -7,14 +7,17 @@ forms. The code here keeps the plain recursions from the definitions,
 with memo tables of its own, so the tests can compare the two. Nodes are
 interned in the store under test, so results compare by id. The minimal
 witness constant, which the engine bisects for inside a stop bracket, is
-here the plain scan up the grid.
+here the plain scan up the grid, and the graph census, which the engine
+grows one vertex at a time, is here a filter over every labelled edge set.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from hotgames import Dyadic, Game, GameStore, confusion_witness
 from hotgames.domineering import DomBoard
-from hotgames.snort import SnortBoard
+from hotgames.snort import SnortBoard, Tint, canonical_key
 
 
 class RawOracle:
@@ -133,3 +136,22 @@ def minimal_k_by_scan(g: Game, step: Dyadic, eps: Game) -> Dyadic:
     while not confusion_witness(g, k, eps).holds:
         k += step
     return k
+
+
+def connected_graphs_by_edge_masks(n: int) -> list[SnortBoard]:
+    """One untinted board per isomorphism class of connected graphs on n
+    vertices: every labelled edge set, kept when it is connected and its
+    `canonical_key` is new."""
+    pairs = list(itertools.combinations(range(n), 2))
+    seen = set()
+    out = []
+    for mask in range(1 << len(pairs)):
+        edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+        board = SnortBoard((Tint.FREE,) * n, edges)
+        if len(board.components()) != 1:
+            continue
+        key = canonical_key(board)
+        if key not in seen:
+            seen.add(key)
+            out.append(board)
+    return out

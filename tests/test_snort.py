@@ -16,6 +16,7 @@ from hotgames import (
     temperature,
 )
 from hotgames.snort import canonical_key
+from oracle import connected_graphs_by_edge_masks
 
 D = Dyadic
 
@@ -213,10 +214,22 @@ def test_canonical_key_distinguishes_tints():
 
 
 def test_graph_enumeration_counts():
+    boards = list(graph_enumerate(6))
     counts = {}
-    for b in graph_enumerate(5):
+    for b in boards:
         counts[b.n] = counts.get(b.n, 0) + 1
-    assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+    assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+    assert all(len(b.components()) == 1 for b in boards)
+    assert all(t == Tint.FREE for b in boards for t in b.tints)
+    assert len({canonical_key(b) for b in boards}) == len(boards)
+    assert all(a.n <= b.n for a, b in zip(boards, boards[1:]))
+    assert list(graph_enumerate(0)) == list(graph_enumerate(-1)) == []
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_graph_enumeration_matches_edge_mask_oracle(n):
+    grown = {canonical_key(b) for b in graph_enumerate(n) if b.n == n}
+    assert grown == {canonical_key(b) for b in connected_graphs_by_edge_masks(n)}
 
 
 def test_graph_enumeration_contains_stars():
