@@ -52,12 +52,13 @@ def confusion_witness(g: Game, k, eps: Game | None = None) -> WitnessReport:
         raise DomainError(f"witness constant must be >= 0, got {k}")
     if stops(eps) != (ZERO, ZERO):
         raise DomainError(f"epsilon {eps} is not an infinitesimal")
+    # G^L - G + eps <= k: the sums do not depend on k, so a search over k
+    # builds them once and never adds k's integer chain to a hot game
     neg_g = -g
-    offset = store.number(-k)
+    bound = store.number(k)
     failing = None
     for gl in g.left_options:
-        test = store.add_all([gl, neg_g, offset, eps])
-        if not test.leq(store.zero):
+        if not store.add_all([gl, neg_g, eps]).leq(bound):
             failing = gl
             break
     holds = failing is None

@@ -1,4 +1,4 @@
-"""Wall-clock budget for long-running table and scan commands."""
+"""Wall-clock budget, checked by a `GameStore` whenever it allocates a node."""
 
 from __future__ import annotations
 
@@ -14,10 +14,6 @@ class Deadline:
         self.seconds = seconds
         self._end = None if seconds is None else time.monotonic() + seconds
 
-    @property
-    def expired(self) -> bool:
-        return self._end is not None and time.monotonic() > self._end
-
     def check(self) -> None:
-        if self.expired:
+        if self._end is not None and time.monotonic() > self._end:
             raise TimeBudgetError(f"time budget of {self.seconds}s exceeded")

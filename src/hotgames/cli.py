@@ -189,9 +189,9 @@ def cmd_board(args, store: GameStore) -> int:
     return EXIT_OK
 
 
-def cmd_tables(args, store: GameStore, deadline: Deadline) -> int:
+def cmd_tables(args, store: GameStore) -> int:
     builder, default_n = TABLES[args.which]
-    table = builder(store, default_n if args.max_n is None else args.max_n, deadline)
+    table = builder(store, default_n if args.max_n is None else args.max_n)
     _emit(table.to_json_dict(), args.format, table.render_text)
     return EXIT_BUDGET if table.truncated else EXIT_OK
 
@@ -312,20 +312,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    store = GameStore(max_nodes=args.max_nodes)
-    deadline = Deadline(args.time_budget_s)
     commands = {
         "eval": cmd_eval,
         "thermo": cmd_thermo,
         "board": cmd_board,
+        "tables": cmd_tables,
         "verify": cmd_verify,
         "scan": cmd_scan,
     }
     try:
-        if args.command == "tables":
-            code = cmd_tables(args, store, deadline)
-        else:
-            code = commands[args.command](args, store)
+        # the store interns 0, *, ^ and v first, so a tiny --max-nodes fails here
+        store = GameStore(args.max_nodes, Deadline(args.time_budget_s))
+        code = commands[args.command](args, store)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -30,6 +30,7 @@ import threading
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .budget import Deadline
 from .dyadic import Dyadic, dyadic
 from .errors import ForeignHandleError, NodeBudgetError
 
@@ -160,11 +161,16 @@ class GameStore:
     is `_memo_add`: which sum node a pair gets depends on which operands are
     already known to be canonical, so racing writers store equal values,
     not always the same node.
+
+    Both budgets, `max_nodes` and the wall-clock `deadline`, are checked
+    whenever a new node is allocated, so any computation that grows the
+    store stops once one runs out; intern and memo hits cost nothing.
     """
 
-    def __init__(self, max_nodes: int | None = None) -> None:
+    def __init__(self, max_nodes: int | None = None, deadline: Deadline | None = None):
         self._lock = threading.RLock()
         self.max_nodes = max_nodes
+        self.deadline = None  # set after 0, *, ^ and v, so an expired one still builds
         self._left: list[tuple[int, ...]] = []
         self._right: list[tuple[int, ...]] = []
         self._intern: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
@@ -175,6 +181,7 @@ class GameStore:
         self._memo_canonical: dict[int, int] = {}
         self._memo_number: dict[int, Dyadic | None] = {}
         self._numbers: dict[Dyadic, int] = {}
+        self._int_ends = {1: 0, -1: 0}  # the interned integers run between these
         self._caches: dict[str, dict] = {}
 
         self.zero = self.make([], [])
@@ -182,6 +189,7 @@ class GameStore:
         self.star = self.make([self.zero], [self.zero])
         self.up = self.make([self.zero], [self.star])
         self.down = self.make([self.star], [self.zero])
+        self.deadline = deadline
 
     # -- nodes ------------------------------------------------------------
 
@@ -213,6 +221,8 @@ class GameStore:
                 raise NodeBudgetError(
                     f"store node budget exceeded ({self.max_nodes} nodes)"
                 )
+            if self.deadline is not None:
+                self.deadline.check()
             gid = len(self._left)
             self._left.append(key[0])
             self._right.append(key[1])
@@ -440,18 +450,21 @@ class GameStore:
             node = self._node([self._number(x - step)], [self._number(x + step)])
             self._register_number(x, node)
             return node
-        # n = {n-1|} and -n = {|-n+1}: walk towards 0 to the nearest
-        # integer already interned (0 always is), then build back out
+        # n = {n-1|} and -n = {|-n+1}: extend the interned run from its end on
+        # n's side (locked, so no thread moves it), each step under the budgets
         n = x.num
         sign = 1 if n > 0 else -1
-        k = n - sign
-        while Dyadic(k) not in self._numbers:
-            k -= sign
-        node = self._numbers[Dyadic(k)]
-        while k != n:
-            k += sign
-            node = self._node([node], []) if sign > 0 else self._node([], [node])
-            self._register_number(Dyadic(k), node)
+        with self._lock:
+            got = self._numbers.get(x)
+            if got is not None:
+                return got
+            k = self._int_ends[sign]
+            node = self._numbers[Dyadic(k)]
+            while k != n:
+                k += sign
+                node = self._node([node], []) if sign > 0 else self._node([], [node])
+                self._register_number(Dyadic(k), node)
+                self._int_ends[sign] = k
         return node
 
     def _register_number(self, x: Dyadic, node: int) -> None:

@@ -312,7 +312,7 @@ def snort_game(board: SnortBoard, store: GameStore) -> Game:
 
 
 # each vertex multiplies the census by 8 to 13 (112, 853, 11,117 graphs on
-# 6, 7, 8 vertices), and `scan` does not yet honour a time budget
+# 6, 7, 8 vertices)
 GRAPH_VERTEX_CAP = 6
 
 

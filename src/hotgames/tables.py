@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .budget import Deadline
 from .domineering import dom_game, grid
 from .dyadic import Dyadic
 from .errors import NodeBudgetError, TimeBudgetError
@@ -143,15 +142,13 @@ class Table:
         return "\n".join(lines)
 
 
-def _table(name: str, cells, deadline: Deadline | None) -> Table:
+def _table(name: str, cells) -> Table:
     """Compute each (row, n, reference, board value thunk) cell's
-    temperature, degrading to an explicit truncation marker once a budget
-    runs out."""
-    deadline = deadline or Deadline()
+    temperature, degrading to an explicit truncation marker when the
+    computation needs a node past one of the store's budgets."""
     table = Table(name)
     for row, n, reference, board_value in cells:
         try:
-            deadline.check()
             value = board_value()
             temp = temperature(value)
         except (TimeBudgetError, NodeBudgetError):
@@ -161,37 +158,31 @@ def _table(name: str, cells, deadline: Deadline | None) -> Table:
     return table
 
 
-def domineering_2xn_table(
-    store: GameStore, max_n: int, deadline: Deadline | None = None
-) -> Table:
+def domineering_2xn_table(store: GameStore, max_n: int) -> Table:
     cells = (
         ("2xn", n, dom_2xn_reference(n), lambda n=n: dom_game(grid(2, n), store))
         for n in range(1, max_n + 1)
     )
-    return _table("Domineering 2xn temperatures", cells, deadline)
+    return _table("Domineering 2xn temperatures", cells)
 
 
-def snort_path_table(
-    store: GameStore, max_n: int, deadline: Deadline | None = None
-) -> Table:
+def snort_path_table(store: GameStore, max_n: int) -> Table:
     cells = (
         (family, n, refs.get(n), lambda b=board: snort_game(b, store))
         for family, refs in SNORT_PATH_REFERENCE.items()
         for n in range(1, max_n + 1)
         if (board := snort_path_board(family, n)) is not None
     )
-    return _table("Snort decorated-path temperatures", cells, deadline)
+    return _table("Snort decorated-path temperatures", cells)
 
 
-def snort_2xn_table(
-    store: GameStore, max_n: int, deadline: Deadline | None = None
-) -> Table:
+def snort_2xn_table(store: GameStore, max_n: int) -> Table:
     refs = SNORT_2XN_REFERENCE
     cells = (
         ("2xn", n, refs.get(n), lambda n=n: snort_game(snort_grid(2, n), store))
         for n in range(2, max_n + 1)
     )
-    return _table("Snort 2xn grid temperatures", cells, deadline)
+    return _table("Snort 2xn grid temperatures", cells)
 
 
 TABLES = {

@@ -84,11 +84,13 @@ def test_minimal_k_half_grid(store):
 
 
 def test_minimal_k_has_no_ceiling(store):
-    # the stop bracket is [0, 600] and the answer 601 lies past the old
-    # ceiling of 256; epsilon 0 keeps the witness sums small (with up,
-    # the sums walk the integer chains below 300 and take 20 s)
+    # the stop bracket is [0, 600] and the answers lie past the old ceiling
+    # of 256; the witness sums G^L - G + eps do not depend on k, so they
+    # stay small for every eps
     g = parse_expr("{300|-300}", store)
     assert minimal_confusion_k(g, 1, store.zero) == 601
+    assert minimal_confusion_k(g, 1) == 601  # eps up
+    assert minimal_confusion_k(g, 1, store.star) == 600
 
 
 @pytest.mark.parametrize("expr", ["{1|-1}", "0"])

@@ -92,6 +92,15 @@ def test_number_matches_recursive_construction():
         assert store._memo_canonical[node] == node
 
 
+def test_number_mixed_signs_match_recursive_construction():
+    # each integer extends the interned run at one end or lies inside it
+    store = GameStore()
+    rng = random.Random(8)
+    values = [rng.choice((-1, 1)) * rng.randrange(300) for _ in range(300)]
+    for n in [5, -3, 250, -1, -250, 7, 300, -300] + values:
+        assert store.number(n).id == number_node(store, Dyadic(n))
+
+
 def test_board_values_match_plain_game_trees():
     store = GameStore()
     oracle = RawOracle(store)

@@ -5,10 +5,12 @@ from hotgames import (
     ForeignHandleError,
     GameStore,
     Outcome,
+    TimeBudgetError,
     outcome_comparable,
     outcome_geq,
     parse_expr,
 )
+from hotgames.budget import Deadline
 from hotgames.sampling import random_game
 
 
@@ -32,6 +34,13 @@ def test_hash_consing_idempotence(store):
     g1 = store.make([a, b, a], [b])
     g2 = store.make([b, a], [b])
     assert g1 == g2 and g1.id == g2.id
+
+
+def test_expired_deadline_stops_the_first_new_node():
+    store = GameStore(deadline=Deadline(-1))  # 0, *, ^ and v are built first
+    assert store.make([store.zero], [store.zero]) == store.star  # an intern hit
+    with pytest.raises(TimeBudgetError):
+        store.make([store.star], [store.star])
 
 
 def test_foreign_handle_rejected(store):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotgames import Dyadic, GameStore, parse_expr
 from hotgames.budget import Deadline
@@ -57,9 +61,9 @@ def test_snort_2xn_table_small(store):
     assert all(c.match for c in table.cells)
 
 
-def test_table_truncation_marker(store):
+def test_table_truncation_marker():
     deadline = Deadline(seconds=-1)  # already expired
-    table = snort_2xn_table(store, 4, deadline)
+    table = snort_2xn_table(GameStore(deadline=deadline), 4)
     assert table.truncated
     assert all(c.truncated and c.computed is None for c in table.cells)
     assert "TRUNCATED" in table.render_text()
@@ -78,9 +82,6 @@ def test_table_json_round_trips(store):
 
 
 def run_cli(*argv) -> tuple[int, str]:
-    import contextlib
-    import io
-
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(list(argv))
@@ -202,6 +203,46 @@ def test_max_nodes_budget_exit_3():
     assert code == 3 and flags == ["ok", "ok", "TRUNCATED", "TRUNCATED"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "{5|2}"],
+        ["thermo", "±{9|3}"],
+        ["board", "snort", "--text", "3\n0 1\n1 2"],
+        ["verify", "tightness"],
+        ["scan", "snortpaths", "--max-n", "3"],
+    ],
+)
+def test_expired_budget_stops_every_command_exit_3(argv, capsys):
+    # the budget has run out before the first node past 0, *, ^ and v
+    assert main(["--time-budget-s", "1e-9", *argv]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: time budget of 1e-09s exceeded\n"
+
+
+def test_tiny_node_budget_exit_3(capsys):
+    # the store cannot even intern 0, *, ^ and v
+    assert main(["--max-nodes", "2", "eval", "0"]) == 3
+    assert capsys.readouterr().err == "error: store node budget exceeded (2 nodes)\n"
+
+
+def test_huge_integer_meets_the_budgets(capsys):
+    # the integer chain is built one budget-checked node at a time
+    argv = ["--max-nodes", "1000", "--time-budget-s", "1", "eval", "100000000"]
+    assert main(argv) == 3
+    assert "node budget exceeded" in capsys.readouterr().err
+
+
+def test_time_budget_inside_one_board(tmp_path):
+    # one board evaluation that runs for over 10 s unbudgeted
+    p = tmp_path / "2x16.txt"
+    p.write_text("#" * 16 + "\n" + "#" * 16 + "\n", encoding="utf-8")
+    proc = _hotgames("--time-budget-s", "1", "board", "domineering", str(p), timeout=15)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: time budget of 1.0s exceeded\n"
+
+
 def test_verify_exit_codes():
     code, out = run_cli("verify", "tightness")
     assert code == 0 and "PASS" in out
@@ -285,7 +326,7 @@ def test_console_script_installed():
     assert "outcome      N" in proc.stdout
 
 
-def _hotgames(*argv, python_flags=(), stdout=subprocess.PIPE, **env):
+def _hotgames(*argv, python_flags=(), stdout=subprocess.PIPE, timeout=120, **env):
     import hotgames
 
     pythonpath = str(Path(hotgames.__file__).parents[1])
@@ -296,7 +337,7 @@ def _hotgames(*argv, python_flags=(), stdout=subprocess.PIPE, **env):
         stderr=subprocess.PIPE,
         text=True,
         env=env,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -343,3 +384,32 @@ def test_eval_at_the_nesting_limit():
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
     assert "canonical    0\n" in proc.stdout
+
+
+# -- fuzz ---------------------------------------------------------------------
+
+_TOKENS = st.sampled_from(list("{}|,()+-*^v/.0123456789") + ["+-", "±"])
+# runs past 4,300 digits exceed the interpreter's int parsing limit
+_DIGIT_RUNS = st.integers(5, 5000).map(lambda n: "9" * n)
+_EXPRESSIONS = st.lists(_TOKENS | _DIGIT_RUNS, max_size=30).map("".join)
+_BOARDS = st.lists(st.text("#.", min_size=1, max_size=6), min_size=1, max_size=3)
+_ARGVS = st.one_of(
+    st.builds(
+        lambda command, fmt, expr: [command, "--format", fmt, "--", expr],
+        st.sampled_from(["eval", "thermo"]),
+        st.sampled_from(["text", "json"]),
+        _EXPRESSIONS,
+    ),
+    _BOARDS.map(lambda rows: ["board", "domineering", "--text", "\n".join(rows)]),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_ARGVS)
+def test_cli_fuzz_exit_codes(argv):
+    # contextlib, not capsys: hypothesis rejects function-scoped fixtures
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--max-nodes", "5000", "--time-budget-s", "0.5", *argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
