@@ -33,7 +33,7 @@ from .games import Game, GameStore
 from .notation import format_game, parse_expr
 from .render import thermograph_svg
 from .snort import SnortBoard, graph_enumerate, snort_game
-from .tables import TABLES, snort_path_board
+from .tables import SNORT_PATH_REFERENCE, TABLES, snort_path_board
 from .thermal import ell, stops, temp_mean, temperature, thermograph
 from .verify import SUITES
 
@@ -217,7 +217,7 @@ def _scan_positions(which: str, max_n: int | None, store: GameStore):
         )
     if which == "snortpaths":
         positions = []
-        for family in ("P", "LP", "LPL", "LPR"):
+        for family in SNORT_PATH_REFERENCE:
             for i in range(1, n + 1):
                 b = snort_path_board(family, i)
                 if b is not None:

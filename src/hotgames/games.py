@@ -531,6 +531,9 @@ def evaluate(
         return store.add_all([Game(store, component(c)) for c in components(p)]).id
 
     def component(c) -> int:
+        # a part that is a memo hit allocates no node, so the key is budgeted here
+        if store.deadline is not None:
+            store.deadline.check()
         k = key(c)
         got = memo.get(k)
         if got is not None:

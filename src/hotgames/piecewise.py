@@ -59,9 +59,6 @@ class Trajectory:
                 return x0 + (t - t0) * s if s else x0
         raise AssertionError("unreachable")
 
-    def breakpoints(self) -> tuple[Dyadic, ...]:
-        return tuple(t for t, _ in self.points)
-
     @staticmethod
     def constant(x: Dyadic) -> "Trajectory":
         return Trajectory(((MINUS_ONE, x),))
@@ -96,24 +93,43 @@ def normalize(points: list[Point]) -> Trajectory:
     return Trajectory(tuple(out))
 
 
-def _merge(a: Trajectory, b: Trajectory, take_max: bool) -> Trajectory:
+def _sweep(a: Trajectory, b: Trajectory, shear: int):
+    """Yield (t, a(t), b(t)) at every breakpoint of a or b, in order, and
+    at each point strictly between two of them where the gap
+    a(t) - b(t) - shear*t changes strict sign.
+
+    Every caller keeps the gap's slope at +-1 or +-2 there, so an inserted
+    crossing t0 + |gap(t0)| or t0 + |gap(t0)|/2 stays dyadic.
+    """
     ts = sorted({t for t, _ in a.points} | {t for t, _ in b.points})
+    rows = [
+        (t, xa, sa, xb, sb, xa - xb - t * shear)
+        for t, (xa, sa), (xb, sb) in zip(ts, _values(a, ts), _values(b, ts))
+    ]
+    yield ts[0], rows[0][1], rows[0][3]
+    for (t0, xa0, sa0, xb0, sb0, d0), (t, xa, _, xb, _, d) in zip(rows, rows[1:]):
+        if d0.num * d.num < 0:
+            dt = abs(d0) if abs(sa0 - sb0 - shear) == 1 else abs(d0).half()
+            yield t0 + dt, xa0 + dt * sa0, xb0 + dt * sb0
+        yield t, xa, xb
+
+
+def _values(tr: Trajectory, ts: list[Dyadic]):
+    """tr's value at each of the increasing times ts, with tr's slope
+    just after that time."""
+    pts = tr.points
+    slopes = [_segment_slope(*p, *q) for p, q in zip(pts, pts[1:])] + [0]
+    i = 0
+    for t in ts:
+        while i + 1 < len(pts) and pts[i + 1][0] <= t:
+            i += 1
+        (t0, x0), s = pts[i], slopes[i]
+        yield x0 + (t - t0) * s if s else x0, s
+
+
+def _merge(a: Trajectory, b: Trajectory, take_max: bool) -> Trajectory:
     pick = max if take_max else min
-    out: list[Point] = [(ts[0], pick(a.value(ts[0]), b.value(ts[0])))]
-    for t0, t1 in zip(ts, ts[1:]):
-        a0, a1 = a.value(t0), a.value(t1)
-        b0, b1 = b.value(t0), b.value(t1)
-        d0, d1 = a0 - b0, a1 - b1
-        if (d0.num > 0 > d1.num) or (d0.num < 0 < d1.num):
-            # strict crossing inside the interval: t_x - t0 = d0 / (sb - sa)
-            sa = _segment_slope(t0, a0, t1, a1)
-            sb = _segment_slope(t0, b0, t1, b1)
-            diff = sb - sa
-            step = d0 if abs(diff) == 1 else d0.half()
-            tx = t0 + (step if diff > 0 else -step)
-            out.append((tx, a0 + (tx - t0) * sa))
-        out.append((t1, pick(a1, b1)))
-    return normalize(out)
+    return normalize([(t, pick(xa, xb)) for t, xa, xb in _sweep(a, b, 0)])
 
 
 def merge_max(trajectories: list[Trajectory]) -> Trajectory:
@@ -124,46 +140,29 @@ def merge_min(trajectories: list[Trajectory]) -> Trajectory:
     return reduce(lambda x, y: _merge(x, y, False), trajectories)
 
 
-def freeze_point(m: Trajectory, w: Trajectory) -> tuple[Dyadic, Dyadic]:
-    """First t >= -1 where the sheared walls meet.
+def walls(m: Trajectory, w: Trajectory):
+    """Temperature, mast and the two walls (left_wall, right_wall) of the
+    thermograph whose left wall is x = m(t) - t and right wall x = w(t) + t
+    up to the first t >= -1 where they meet.
 
-    m is the scaffold of the left wall (x = m(t) - t) and w of the right
-    wall (x = w(t) + t); their gap f(t) = m(t) - w(t) - 2t is continuous,
-    piecewise linear and non-increasing with slopes in {0,-1,-2}, so the
-    first zero exists and is dyadic. Returns (t*, mast value m(t*) - t*).
+    Their gap f(t) = m(t) - w(t) - 2t is continuous, piecewise linear and
+    non-increasing with slopes in {0,-1,-2}, so the first zero exists and
+    is dyadic.
     """
-    ts = sorted({t for t, _ in m.points} | {t for t, _ in w.points})
-
-    def f(t: Dyadic) -> Dyadic:
-        return m.value(t) - w.value(t) - t - t
-
-    f0 = f(ts[0])
-    if f0.num < 0:
-        raise ValueError("walls already crossed at t = -1")
-    if f0.num == 0:
-        return ts[0], m.value(ts[0]) - ts[0]
-    for t0, t1 in zip(ts, ts[1:]):
-        f1 = f(t1)
-        if f1.num > 0:
-            continue
-        if f1.num == 0:
-            return t1, m.value(t1) - t1
-        f0 = f(t0)
-        slope = _exact_int_slope(f0, f1, t0, t1)
-        tx = t0 + (f0 if slope == -1 else f0.half())
-        return tx, m.value(tx) - tx
-    # past every breakpoint both scaffolds are constant: slope is -2
-    t_last = ts[-1]
-    f_last = f(t_last)
-    tx = t_last + f_last.half()
-    return tx, m.value(tx) - tx
-
-
-def _exact_int_slope(f0: Dyadic, f1: Dyadic, t0: Dyadic, t1: Dyadic) -> int:
-    df = f1 - f0
-    dt = t1 - t0
-    if df == -dt:
-        return -1
-    if df == -dt - dt:
-        return -2
-    raise ValueError("gap function slope outside {-1,-2} at a sign change")
+    left: list[Point] = []
+    right: list[Point] = []
+    for t, xm, xw in _sweep(m, w, 2):
+        lx, rx = xm - t, xw + t
+        if lx < rx:
+            raise ValueError("walls already crossed at t = -1")
+        left.append((t, lx))
+        right.append((t, rx))
+        if lx == rx:
+            break
+    else:
+        # past every breakpoint both scaffolds are constant: slope is -2
+        t = t + (lx - rx).half()
+        left.append((t, xm - t))
+        right.append((t, xw + t))
+    # not normalize(): a wall keeps its flat final segment up to the mast
+    return t, left[-1][1], tuple(drop_collinear(left)), tuple(drop_collinear(right))

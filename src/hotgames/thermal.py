@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from .dyadic import MINUS_ONE, ZERO, Dyadic, dyadic
 from .errors import DomainError, NotHotError, WrongShapeError
 from .games import Game
-from .piecewise import (
-    Point,
-    Trajectory,
-    drop_collinear,
-    freeze_point,
-    merge_max,
-    merge_min,
-)
+from .piecewise import Point, Trajectory, _segment_slope, merge_max, merge_min, walls
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +98,8 @@ class Thermograph:
     def validate(self) -> "Thermograph":
         for wall, slopes in ((self.left_wall, {0, -1}), (self.right_wall, {0, 1})):
             Trajectory(wall).validate()
-            for (t0, x0), (t1, x1) in zip(wall, wall[1:]):
-                dx = x1 - x0
-                s = 0 if dx.num == 0 else (1 if dx == t1 - t0 else -1)
-                if s not in slopes:
+            for p, q in zip(wall, wall[1:]):
+                if (s := _segment_slope(*p, *q)) not in slopes:
                     raise ValueError(f"wall slope {s} not in {slopes}")
             if wall[-1] != (self.temperature, self.mast):
                 raise ValueError("wall does not end at the mast")
@@ -128,18 +119,6 @@ class Thermograph:
         }
 
 
-def _wall_points(scaffold: Trajectory, shear: int, t_star: Dyadic, mast: Dyadic):
-    """Breakpoints of x(t) = scaffold(t) + shear*t on [-1, t_star]."""
-    pts: list[Point] = []
-    for t, x in scaffold.points:
-        if t >= t_star:
-            break
-        pts.append((t, x + t * shear))
-    pts.append((t_star, mast))
-    # not normalize(): a wall keeps its flat final segment up to (t_star, mast)
-    return tuple(drop_collinear(pts))
-
-
 def thermograph(g: Game) -> Thermograph:
     store = g.store
     memo = store.cache("thermograph")
@@ -155,13 +134,7 @@ def thermograph(g: Game) -> Thermograph:
             # canonical non-integers always have options on both sides
             m = merge_max([Trajectory(rec(l).right_wall) for l in store._left[ci]])
             w = merge_min([Trajectory(rec(r).left_wall) for r in store._right[ci]])
-            t_star, mast = freeze_point(m, w)
-            res = Thermograph(
-                t_star,
-                mast,
-                _wall_points(m, -1, t_star, mast),
-                _wall_points(w, +1, t_star, mast),
-            )
+            res = Thermograph(*walls(m, w))
         memo[ci] = res
         return res
 

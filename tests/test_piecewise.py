@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hotgames.dyadic import Dyadic
-from hotgames.piecewise import Trajectory, freeze_point, merge_max, merge_min, normalize
+from hotgames.piecewise import Trajectory, merge_max, merge_min, normalize, walls
 
 D = Dyadic
 
@@ -53,20 +53,20 @@ def test_normalize_drops_collinear():
     assert t.points == ((D(-1), D(0)), (D(1), D(2)))
 
 
-def test_freeze_point_switch():
+def test_walls_switch():
     # walls of {5|2}: m = const 5 (right wall of 5), w = const 2
-    t, mast = freeze_point(Trajectory.constant(D(5)), Trajectory.constant(D(2)))
+    t, mast, _, _ = walls(Trajectory.constant(D(5)), Trajectory.constant(D(2)))
     assert (t, mast) == (D(3, 1), D(7, 1))
 
 
-def test_freeze_point_at_start():
-    t, mast = freeze_point(Trajectory.constant(D(-1)), Trajectory.constant(D(1)))
+def test_walls_at_start():
+    t, mast, _, _ = walls(Trajectory.constant(D(-1)), Trajectory.constant(D(1)))
     assert (t, mast) == (D(-1), D(0))
 
 
-def test_freeze_point_crossed_walls_rejected():
+def test_walls_crossed_walls_rejected():
     with pytest.raises(ValueError):
-        freeze_point(Trajectory.constant(D(-5)), Trajectory.constant(D(5)))
+        walls(Trajectory.constant(D(-5)), Trajectory.constant(D(5)))
 
 
 # -- randomized merge correctness -------------------------------------------
@@ -98,3 +98,28 @@ def test_merge_matches_pointwise(sa, ga, sb, gb, data):
         t = D(-1)
     assert mx.value(t) == max(a.value(t), b.value(t))
     assert mn.value(t) == min(a.value(t), b.value(t))
+
+
+scaffold_segments = st.lists(st.tuples(st.integers(1, 4), st.booleans()), max_size=5)
+
+
+@given(st.integers(-4, 4), scaffold_segments, st.integers(0, 8), scaffold_segments)
+def test_walls_match_pointwise(sm, gm, gap0, gw):
+    # m is a left-wall scaffold (slopes {0,+1}), w a right-wall one (slopes
+    # {0,-1}), and m(-1) - w(-1) + 2 = gap0 >= 0
+    m = build(sm, [(dt, int(up)) for dt, up in gm])
+    w = build(sm + 2 - gap0, [(dt, -int(down)) for dt, down in gw])
+    t_star, mast, left, right = walls(m, w)
+
+    def gap(t):
+        return m.value(t) - w.value(t) - t - t
+
+    grid = [D(k - 8, 3) for k in range(8 * 40)]
+    assert t_star == next(t for t in grid if gap(t).num == 0)
+    assert mast == m.value(t_star) - t_star
+    assert left[-1] == right[-1] == (t_star, mast)
+    assert all(x == m.value(t) - t for t, x in left)
+    assert all(x == w.value(t) + t for t, x in right)
+    for t in (t for t in grid if t <= t_star):
+        assert Trajectory(left).value(t) == m.value(t) - t
+        assert Trajectory(right).value(t) == w.value(t) + t

@@ -3,9 +3,11 @@ import pytest
 from hotgames import (
     CeilingExceededError,
     Dyadic,
+    GameStore,
     Outcome,
     ParseError,
     SnortBoard,
+    TimeBudgetError,
     Tint,
     graph_enumerate,
     snort_game,
@@ -15,6 +17,8 @@ from hotgames import (
     snort_star,
     temperature,
 )
+from hotgames import snort
+from hotgames.budget import Deadline
 from hotgames.snort import canonical_key
 from oracle import connected_graphs_by_edge_masks
 
@@ -152,6 +156,21 @@ def test_component_split(store):
     p2 = snort_game(snort_path(2), store)
     expect = p2 + p2 + store.star
     assert (g - expect).outcome() == Outcome.P
+
+
+def test_expired_deadline_stops_before_keying_components(monkeypatch):
+    # every isolated vertex is *, a memo hit that allocates no node
+    keyed = []
+
+    def key(b):
+        keyed.append(b)
+        return canonical_key(b)
+
+    monkeypatch.setattr(snort, "canonical_key", key)
+    board = SnortBoard((Tint.FREE,) * 1000, frozenset())
+    with pytest.raises(TimeBudgetError):
+        snort_game(board, GameStore(deadline=Deadline(-1)))
+    assert len(keyed) < 1000
 
 
 def test_positions_on_paths_decompose_into_decorated_paths(store, rng):

@@ -244,8 +244,12 @@ def test_time_budget_inside_one_board(tmp_path):
 
 
 def test_verify_exit_codes():
-    code, out = run_cli("verify", "tightness")
-    assert code == 0 and "PASS" in out
+    suites = ["properties", "snakes", "tightness"]
+    for suite, names in [(s, [s]) for s in suites] + [("all", suites)]:
+        code, out = run_cli("verify", suite)
+        assert code == 0
+        lines = [ln for ln in out.splitlines() if ln.startswith("suite ")]
+        assert lines == [f"suite {name}: PASS" for name in names]
     code, out = run_cli("verify", "tightness", "--format", "json")
     assert json.loads(out)[0]["passed"] is True
 
