@@ -2,9 +2,14 @@
 
 Boards are plain cell sets on the integer lattice, normalized by
 translation. Left places vertical dominoes, Right horizontal ones.
-Values are memoized per connected component under translation and the
-reflection group (reflections preserve values; a quarter turn negates
-them, so rotations are deliberately left out of the memo key).
+
+The evaluator works on bitboards: a board becomes one int with a bit per
+cell and an always-empty guard column, so move generation is a shift and
+a mask, and components are grown by bit flood fill. Values are memoized
+per connected component under a row-mask key that is invariant under
+translation and the reflection group (reflections preserve values; a
+quarter turn negates them, so rotations are deliberately left out of the
+memo key).
 """
 
 from __future__ import annotations
@@ -110,39 +115,64 @@ def dom_print(board: DomBoard) -> str:
 # evaluation
 
 
-def _components(cells: frozenset[Cell]) -> list[frozenset[Cell]]:
-    todo = set(cells)
-    out = []
-    while todo:
-        seed = todo.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            x, y = frontier.pop()
-            for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if n in todo:
-                    todo.remove(n)
-                    comp.add(n)
-                    frontier.append(n)
-        out.append(frozenset(comp))
-    return out
+def _board_mask(board: DomBoard) -> tuple[int, int]:
+    """The board as one int with bit y*stride + x set per cell, and its
+    stride, width + 1. The spare column is always empty, so a shift by
+    one never carries a cell from the end of one row onto the next."""
+    stride = board.width() + 1
+    return sum(1 << (y * stride + x) for x, y in board.cells), stride
 
 
-def _reflection_key(cells: frozenset[Cell]):
-    variants = []
-    for fx in (1, -1):
-        for fy in (1, -1):
-            v = [(fx * x, fy * y) for x, y in cells]
-            dx = min(x for x, _ in v)
-            dy = min(y for _, y in v)
-            variants.append(tuple(sorted((x - dx, y - dy) for x, y in v)))
-    return min(variants)
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
-def _moves(cells: frozenset[Cell]):
+def _components(mask: int, stride: int) -> Iterator[int]:
+    """The connected parts of a mask, each grown from its lowest set bit."""
+    while mask:
+        comp = mask & -mask
+        while True:
+            grown = (
+                comp | comp << 1 | comp >> 1 | comp << stride | comp >> stride
+            ) & mask
+            if grown == comp:
+                break
+            comp = grown
+        yield comp
+        mask ^= comp
+
+
+def _reflection_key(mask: int, stride: int) -> tuple[int, ...]:
+    """Least of the row tuples of the mask, its two reflections and its
+    half turn, with the empty rows and columns shifted away: equal for
+    boards equal up to translation and those symmetries, whatever the
+    stride."""
+    full = (1 << stride) - 1
+    mask >>= ((mask & -mask).bit_length() - 1) // stride * stride
+    rows = []
+    cols = 0
+    while mask:
+        row = mask & full
+        rows.append(row)
+        cols |= row
+        mask >>= stride
+    low = (cols & -cols).bit_length() - 1
+    top = cols.bit_length()
+    # reversed below the highest used column, the mirror starts at column 0
+    mirrored = tuple(
+        [int(bin(row)[:1:-1], 2) << (top - row.bit_length()) for row in rows]
+    )
+    rows = tuple([row >> low for row in rows])
+    return min(rows, rows[::-1], mirrored, mirrored[::-1])
+
+
+def _moves(mask: int, stride: int) -> tuple[list[int], list[int]]:
     """Left's vertical and Right's horizontal domino placements."""
-    left = [cells - {(x, y), (x, y + 1)} for x, y in cells if (x, y + 1) in cells]
-    right = [cells - {(x, y), (x + 1, y)} for x, y in cells if (x + 1, y) in cells]
+    left = [mask ^ (b | b << stride) for b in _bits(mask & mask >> stride)]
+    right = [mask ^ (b | b << 1) for b in _bits(mask & mask >> 1)]
     return left, right
 
 
@@ -152,8 +182,14 @@ def dom_game(board: DomBoard, store: GameStore) -> Game:
     Components are evaluated independently and summed; each component's
     canonical value is memoized under translation + reflection.
     """
+    mask, stride = _board_mask(board)
     return evaluate(
-        store, board.cells, "domineering", _components, _reflection_key, _moves
+        store,
+        mask,
+        "domineering",
+        lambda m: _components(m, stride),
+        lambda m: _reflection_key(m, stride),
+        lambda m: _moves(m, stride),
     )
 
 
@@ -265,7 +301,7 @@ def snake_enumerate(max_width: int) -> Iterator[DomBoard]:
                     row ^= 1
                     cells.add((col, row))
             board = DomBoard(cells)
-            key = _reflection_key(board.cells)
+            key = _reflection_key(*_board_mask(board))
             if key not in seen:
                 seen.add(key)
                 yield board

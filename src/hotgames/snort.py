@@ -101,13 +101,13 @@ class SnortBoard:
 
     # -- structure ---------------------------------------------------------
 
-    def components(self) -> list["SnortBoard"]:
+    def components(self) -> Iterator["SnortBoard"]:
+        """Connected parts, built one at a time, so a caller can stop early."""
         adj = {v: set() for v in range(self.n)}
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
         todo = set(range(self.n))
-        out = []
         while todo:
             seed = todo.pop()
             comp = {seed}
@@ -121,17 +121,14 @@ class SnortBoard:
                         frontier.append(w)
             keep = sorted(comp)
             relabel = {u: i for i, u in enumerate(keep)}
-            out.append(
-                SnortBoard(
-                    tuple(self.tints[u] for u in keep),
-                    frozenset(
-                        (relabel[a], relabel[b])
-                        for a, b in self.edges
-                        if a in comp and b in comp
-                    ),
-                )
+            yield SnortBoard(
+                tuple(self.tints[u] for u in keep),
+                frozenset(
+                    (relabel[a], relabel[b])
+                    for a, b in self.edges
+                    if a in comp and b in comp
+                ),
             )
-        return out
 
     # -- text format ---------------------------------------------------------
 

@@ -9,6 +9,8 @@ interned in the store under test, so results compare by id. The minimal
 witness constant, which the engine bisects for inside a stop bracket, is
 here the plain scan up the grid, and the graph census, which the engine
 grows one vertex at a time, is here a filter over every labelled edge set.
+The Domineering evaluator works on bitboards; the cell-set components,
+moves and reflection key it replaced are kept here.
 """
 
 from __future__ import annotations
@@ -92,6 +94,45 @@ def number_node(store: GameStore, x: Dyadic) -> int:
     )
 
 
+def dom_components(cells: frozenset) -> list[frozenset]:
+    """Connected parts of a cell set, by flood fill over lattice neighbours."""
+    todo = set(cells)
+    out = []
+    while todo:
+        seed = todo.pop()
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            x, y = frontier.pop()
+            for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                if n in todo:
+                    todo.remove(n)
+                    comp.add(n)
+                    frontier.append(n)
+        out.append(frozenset(comp))
+    return out
+
+
+def dom_reflection_key(cells: frozenset) -> tuple:
+    """Least sorted cell tuple over the reflections and the half turn,
+    each translated to min x = min y = 0."""
+    variants = []
+    for fx in (1, -1):
+        for fy in (1, -1):
+            v = [(fx * x, fy * y) for x, y in cells]
+            dx = min(x for x, _ in v)
+            dy = min(y for _, y in v)
+            variants.append(tuple(sorted((x - dx, y - dy) for x, y in v)))
+    return min(variants)
+
+
+def dom_moves(cells: frozenset) -> tuple[list[frozenset], list[frozenset]]:
+    """Left's vertical and Right's horizontal domino placements."""
+    left = [cells - {(x, y), (x, y + 1)} for x, y in cells if (x, y + 1) in cells]
+    right = [cells - {(x, y), (x + 1, y)} for x, y in cells if (x + 1, y) in cells]
+    return left, right
+
+
 def raw_dom_value(board: DomBoard, store: GameStore) -> int:
     """Domineering value as the plain game tree: every vertical domino is
     a Left option, every horizontal one a Right option. No components,
@@ -102,13 +143,10 @@ def raw_dom_value(board: DomBoard, store: GameStore) -> int:
         got = memo.get(cells)
         if got is not None:
             return got
-        left = [
-            value(cells - {(x, y), (x, y + 1)}) for x, y in cells if (x, y + 1) in cells
-        ]
-        right = [
-            value(cells - {(x, y), (x + 1, y)}) for x, y in cells if (x + 1, y) in cells
-        ]
-        res = memo[cells] = store._node(left, right)
+        left, right = dom_moves(cells)
+        res = memo[cells] = store._node(
+            [value(o) for o in left], [value(o) for o in right]
+        )
         return res
 
     return value(board.cells)
@@ -148,7 +186,7 @@ def connected_graphs_by_edge_masks(n: int) -> list[SnortBoard]:
     for mask in range(1 << len(pairs)):
         edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
         board = SnortBoard((Tint.FREE,) * n, edges)
-        if len(board.components()) != 1:
+        if len(list(board.components())) != 1:
             continue
         key = canonical_key(board)
         if key not in seen:

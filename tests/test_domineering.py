@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from hotgames import (
@@ -15,6 +17,13 @@ from hotgames import (
     snake_enumerate,
     temperature,
 )
+from hotgames.domineering import (
+    _board_mask,
+    _components,
+    _moves,
+    _reflection_key,
+)
+from oracle import dom_components, dom_moves, dom_reflection_key
 
 D = Dyadic
 
@@ -103,6 +112,63 @@ def test_component_split_soundness(store, rng):
     assert (whole - parts).outcome() == Outcome.P
 
 
+def test_guard_column_keeps_rows_apart(store):
+    # without the spare column, cells (3,0) and (0,1) would sit on adjacent
+    # bits and Right could play a domino across them
+    assert dom_game(dom_parse("..##\n##.."), store) == store.number(-2)
+    # here that crossing would be Right's only move, turning 0 into -1
+    assert dom_game(dom_parse("..#\n#.."), store) == store.zero
+
+
+def _polyominoes(max_cells):
+    """Every polyomino of up to max_cells cells, up to translation."""
+    level = {DomBoard({(0, 0)})}
+    out = set(level)
+    for _ in range(max_cells - 1):
+        level = {
+            DomBoard(b.cells | {n})
+            for b in level
+            for x, y in b.cells
+            for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+            if n not in b.cells
+        }
+        out |= level
+    return out
+
+
+def _decode(mask, stride, dx, dy):
+    return frozenset(
+        (b % stride - dx, b // stride - dy)
+        for b in range(mask.bit_length())
+        if mask >> b & 1
+    )
+
+
+def test_bitboard_hooks_match_cell_oracle():
+    boards = _polyominoes(7)
+    assert len(boards) == 1 + 2 + 6 + 19 + 63 + 216 + 760
+    pairs = set()
+    for board in boards:
+        cells = board.cells
+        mask, stride = _board_mask(board)
+        assert _decode(mask, stride, 0, 0) == cells
+        keys = set()
+        # at the origin as dom_game encodes it, and shifted in a wider frame
+        for dx, dy, stride in ((0, 0, stride), (2, 1, stride + 3)):
+            mask = sum(1 << ((y + dy) * stride + x + dx) for x, y in cells)
+            left, right = _moves(mask, stride)
+            for got, want in zip((left, right), dom_moves(cells)):
+                assert Counter(_decode(m, stride, dx, dy) for m in got) == Counter(want)
+            for part in [mask] + left + right:
+                got = {_decode(c, stride, dx, dy) for c in _components(part, stride)}
+                assert got == set(dom_components(_decode(part, stride, dx, dy)))
+            keys.add(_reflection_key(mask, stride))
+        assert len(keys) == 1
+        pairs.add((keys.pop(), dom_reflection_key(cells)))
+    # the two keys induce the same classes: each determines the other
+    assert len({k for k, _ in pairs}) == len({o for _, o in pairs}) == len(pairs)
+
+
 def test_2xn_temperatures_small(store):
     want = {1: D(-1), 2: D(1), 3: D(5, 2), 4: D(0), 5: D(-1, 1)}
     for n, t in want.items():
@@ -149,19 +215,17 @@ def test_snake_enumerate_matches_inductive_oracle():
     max_cells = 7
     frontier = [[(0, 0)]]
     folded_keys = set()
-    from hotgames.domineering import _reflection_key
-
     while frontier:
         path = frontier.pop()
         board = DomBoard(path)
         f = fold(board)
         if f is not None and f.width() <= 5:
-            folded_keys.add(_reflection_key(f.cells))
+            folded_keys.add(dom_reflection_key(f.cells))
         if len(path) < max_cells:
             frontier.extend(extensions(path))
 
     enumerated = {
-        _reflection_key(b.cells)
+        dom_reflection_key(b.cells)
         for b in snake_enumerate(5)
         if len(b.cells) <= max_cells
     }
@@ -204,9 +268,7 @@ def test_snake_moves_split_into_smaller_snakes(store):
             )
             for a, b in pairs:
                 rest = cells - {a, b}
-                from hotgames.domineering import _components
-
-                comps = _components(rest)
+                comps = dom_components(rest)
                 assert len(comps) <= 2
                 for comp in comps:
                     assert is_snake(DomBoard(comp))

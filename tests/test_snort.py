@@ -173,6 +173,23 @@ def test_expired_deadline_stops_before_keying_components(monkeypatch):
     assert len(keyed) < 1000
 
 
+def test_expired_deadline_stops_before_splitting_every_component(monkeypatch):
+    # components are built one at a time, so the budget check between
+    # them stops the split, not only the keying
+    built = []
+    post_init = SnortBoard.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    board = SnortBoard((Tint.FREE,) * 1000, frozenset())
+    monkeypatch.setattr(SnortBoard, "__post_init__", counting)
+    with pytest.raises(TimeBudgetError):
+        snort_game(board, GameStore(deadline=Deadline(-1)))
+    assert 0 < len(built) <= 3
+
+
 def test_positions_on_paths_decompose_into_decorated_paths(store, rng):
     # every follower of an empty path is a sum of paths whose interior
     # vertices are all free (tints appear only at the ends)
@@ -238,7 +255,7 @@ def test_graph_enumeration_counts():
     for b in boards:
         counts[b.n] = counts.get(b.n, 0) + 1
     assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
-    assert all(len(b.components()) == 1 for b in boards)
+    assert all(len(list(b.components())) == 1 for b in boards)
     assert all(t == Tint.FREE for b in boards for t in b.tints)
     assert len({canonical_key(b) for b in boards}) == len(boards)
     assert all(a.n <= b.n for a, b in zip(boards, boards[1:]))

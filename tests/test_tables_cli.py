@@ -234,7 +234,7 @@ def test_huge_integer_meets_the_budgets(capsys):
 
 
 def test_time_budget_inside_one_board(tmp_path):
-    # one board evaluation that runs for over 10 s unbudgeted
+    # one board evaluation that runs for about 7 s unbudgeted
     p = tmp_path / "2x16.txt"
     p.write_text("#" * 16 + "\n" + "#" * 16 + "\n", encoding="utf-8")
     proc = _hotgames("--time-budget-s", "1", "board", "domineering", str(p), timeout=15)
