@@ -185,7 +185,7 @@ def dom_game(board: DomBoard, store: GameStore) -> Game:
     mask, stride = _board_mask(board)
     return evaluate(
         store,
-        mask,
+        _components(mask, stride),
         "domineering",
         lambda m: _components(m, stride),
         lambda m: _reflection_key(m, stride),

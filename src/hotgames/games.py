@@ -6,10 +6,11 @@ the same id, so node equality is id equality and the reachable game graph
 is a shared DAG. All semantic queries (outcome, order, canonical form)
 are memoized per store.
 
-Board values come from one evaluator, `evaluate`: it splits a position
-into components, memoizes each component's canonical value under a
-ruleset's symmetry key, recurses on the component's options and sums the
-parts. `dom_game` and `snort_game` are calls to it with their hooks.
+Board values come from one evaluator, `evaluate`: it takes a board's
+parts, memoizes each part's canonical value under a ruleset's symmetry
+key, recurses on the part's options (split into components) and sums the
+parts canonically. `dom_game` and `snort_game` are calls to it with their
+hooks.
 
 Canonical at the boundary: the `+`/`-` operators on `Game` canonicalize
 both operands and return the canonical form of the sum, and so do the
@@ -308,11 +309,12 @@ class GameStore:
         )
 
     def add_all(self, games: Sequence[Game]) -> Game:
-        """Sum of several components, folded in sorted id order.
+        """Sum of several games, folded in sorted id order.
 
         Sorting keeps the association canonical, so the same multiset of
-        components always reaches the same node (more memo hits on the
-        disjunctive sums that dominate board evaluation).
+        games always reaches the same node (more memo hits on repeated
+        sums, such as witness sums). Board evaluation sums its parts
+        through `evaluate`, which also canonicalizes after each addition.
         """
         total = self.zero.id
         for i in sorted(self._check(g) for g in games):
@@ -515,20 +517,27 @@ class GameStore:
 
 
 def evaluate(
-    store: GameStore, position, memo_name: str, components, key, moves
+    store: GameStore, parts: Iterable, memo_name: str, components, key, moves
 ) -> Game:
-    """Canonical game value of a board position under a ruleset's hooks.
+    """Canonical value of the sum of `parts`, independent positions of one
+    ruleset, under the ruleset's hooks.
 
-    `components(p)` splits a position into independent parts, whose
-    canonical values are summed. Each part's value is memoized in
-    `store.cache(memo_name)` under `key(part)`, which must be equal only
-    for parts of equal value (a translation, symmetry or isomorphism
-    class); `moves(part)` returns its Left and Right option positions.
+    `components(p)` splits a position into independent parts. Each part's
+    canonical value is memoized in `store.cache(memo_name)` under
+    `key(part)`, which must be equal only for parts of equal value (a
+    translation, symmetry or isomorphism class); `moves(part)` returns its
+    Left and Right option positions. Part values are added in sorted id
+    order and canonicalized after each addition, so the same multiset of
+    parts always reaches the same node, and k hot parts never build a raw
+    sum whose size is exponential in k.
     """
     memo = store.cache(memo_name)
 
-    def value(p) -> int:
-        return store.add_all([Game(store, component(c)) for c in components(p)]).id
+    def total(ps) -> int:
+        res = store.zero.id
+        for i in sorted([component(c) for c in ps]):
+            res = store._canonical(store._add(res, i))
+        return res
 
     def component(c) -> int:
         # a part that is a memo hit allocates no node, so the key is budgeted here
@@ -540,9 +549,12 @@ def evaluate(
             return got
         left, right = moves(c)
         res = store._canonical(
-            store._node([value(o) for o in left], [value(o) for o in right])
+            store._node(
+                [total(components(o)) for o in left],
+                [total(components(o)) for o in right],
+            )
         )
         memo[k] = res
         return res
 
-    return Game(store, store._canonical(value(position)))
+    return Game(store, total(parts))

@@ -7,21 +7,27 @@ opponent (nobody may ever play them again). A vertex tinted LEFT is
 therefore "adjacent to a Left piece", and a path with a Left piece on
 its end is encoded as the shorter path whose new end carries a LEFT
 tint.
+
+`SnortBoard` is the public board type. The evaluator splits a board into
+connected parts and encodes each as an int position `(adj, alive, left,
+right)`: `adj[v]` is the neighbour mask of vertex v, and the other three
+are masks of the vertices still on the board and of those tinted LEFT
+and RIGHT. A move only clears and sets bits, so every follower of a part
+shares its `adj` tuple.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
+from .budget import Deadline
 from .errors import CeilingExceededError, ParseError
 from .games import Game, GameStore, evaluate
 
-# beyond this many candidate orderings, skip isomorphism reduction and
-# memoize on the labelled structure instead (correct, fewer cache hits)
-_CANON_ORDERINGS_LIMIT = 50_000
+# (adj, alive, left, right): neighbour masks, then vertex masks
+Position = tuple[tuple[int, ...], int, int, int]
 
 
 class Tint(Enum):
@@ -47,15 +53,6 @@ class SnortBoard:
     def n(self) -> int:
         return len(self.tints)
 
-    def neighbours(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
-
     def degree(self) -> int:
         if not self.tints:
             return 0
@@ -65,70 +62,9 @@ class SnortBoard:
             counts[b] += 1
         return max(counts, default=0)
 
-    # -- moves -------------------------------------------------------------
-
-    def play(self, v: int, left: bool) -> "SnortBoard":
-        own = Tint.LEFT if left else Tint.RIGHT
-        other = Tint.RIGHT if left else Tint.LEFT
-        if self.tints[v] not in (Tint.FREE, own):
-            raise ValueError(f"vertex {v} is not playable by {'Left' if left else 'Right'}")
-        nbrs = set(self.neighbours(v))
-        drop = {v} | {u for u in nbrs if self.tints[u] == other}
-        keep = [u for u in range(self.n) if u not in drop]
-        relabel = {u: i for i, u in enumerate(keep)}
-        tints = tuple(
-            own if (u in nbrs and self.tints[u] == Tint.FREE) else self.tints[u]
-            for u in keep
-        )
-        edges = frozenset(
-            (min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
-            for a, b in self.edges
-            if a in relabel and b in relabel
-        )
-        return SnortBoard(tints, edges)
-
-    def moves(self, left: bool) -> list["SnortBoard"]:
-        own = Tint.LEFT if left else Tint.RIGHT
-        return [
-            self.play(v, left)
-            for v in range(self.n)
-            if self.tints[v] in (Tint.FREE, own)
-        ]
-
     def swap_colours(self) -> "SnortBoard":
         flip = {Tint.FREE: Tint.FREE, Tint.LEFT: Tint.RIGHT, Tint.RIGHT: Tint.LEFT}
         return SnortBoard(tuple(flip[t] for t in self.tints), self.edges)
-
-    # -- structure ---------------------------------------------------------
-
-    def components(self) -> Iterator["SnortBoard"]:
-        """Connected parts, built one at a time, so a caller can stop early."""
-        adj = {v: set() for v in range(self.n)}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        todo = set(range(self.n))
-        while todo:
-            seed = todo.pop()
-            comp = {seed}
-            frontier = [seed]
-            while frontier:
-                u = frontier.pop()
-                for w in adj[u]:
-                    if w in todo:
-                        todo.remove(w)
-                        comp.add(w)
-                        frontier.append(w)
-            keep = sorted(comp)
-            relabel = {u: i for i, u in enumerate(keep)}
-            yield SnortBoard(
-                tuple(self.tints[u] for u in keep),
-                frozenset(
-                    (relabel[a], relabel[b])
-                    for a, b in self.edges
-                    if a in comp and b in comp
-                ),
-            )
 
     # -- text format ---------------------------------------------------------
 
@@ -238,53 +174,178 @@ def snort_grid(rows: int, cols: int) -> SnortBoard:
 
 
 # ---------------------------------------------------------------------------
+# int positions
+
+
+def encoded_parts(
+    board: SnortBoard, deadline: Deadline | None = None
+) -> Iterator[Position]:
+    """The board's connected parts as int positions, built one at a time.
+
+    Adjacency lists are built in one pass over the edges. Each part's
+    vertices get local labels 0..k-1 in increasing board order, so its
+    masks take about k*k/16 bytes and the encoding stays linear in a
+    board whose parts are small. The deadline is checked once per part."""
+    nbrs: list[list[int]] = [[] for _ in range(board.n)]
+    for a, b in board.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    seen = bytearray(board.n)
+    for seed in range(board.n):
+        if seen[seed]:
+            continue
+        if deadline is not None:
+            deadline.check()
+        seen[seed] = 1
+        part = [seed]
+        for v in part:  # grows while it is read: a breadth-first search
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    part.append(w)
+        part.sort()
+        label = {v: i for i, v in enumerate(part)}
+        adj = tuple([sum([1 << label[w] for w in nbrs[v]]) for v in part])
+        left = right = 0
+        for i, v in enumerate(part):
+            if board.tints[v] is Tint.LEFT:
+                left |= 1 << i
+            elif board.tints[v] is Tint.RIGHT:
+                right |= 1 << i
+        yield adj, (1 << len(part)) - 1, left, right
+
+
+def _components(position: Position) -> Iterator[Position]:
+    """The connected parts of a position, each grown from its lowest vertex."""
+    adj, alive, left, right = position
+    todo = alive
+    while todo:
+        comp = frontier = todo & -todo
+        todo ^= comp
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & todo
+            todo ^= new
+            comp |= new
+            frontier |= new
+        yield adj, comp, left & comp, right & comp
+
+
+def _moves(position: Position) -> tuple[list[Position], list[Position]]:
+    """Left's and Right's options. Playing v removes v and its neighbours
+    tinted for the opponent, and tints its free neighbours for the mover."""
+    adj, alive, left, right = position
+    free = alive & ~(left | right)
+    lefts = []
+    rights = []
+    todo = alive
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        nb = adj[low.bit_length() - 1]
+        if not right & low:
+            own = (left & ~low) | (nb & free)
+            lefts.append((adj, alive & ~(low | nb & right), own, right & ~nb))
+        if not left & low:
+            own = (right & ~low) | (nb & free)
+            rights.append((adj, alive & ~(low | nb & left), left & ~nb, own))
+    return lefts, rights
+
+
+# ---------------------------------------------------------------------------
 # canonical labelling (for memo keys)
 
 
-def _refine(board: SnortBoard) -> list[int]:
-    colours = [("t", board.tints[v].value) for v in range(board.n)]
-    adj = {v: board.neighbours(v) for v in range(board.n)}
+def _refine(
+    colour: list[int], nbrs: list[list[int]], deadline: Deadline | None
+) -> list[int]:
+    """Split each colour class by the multiset of neighbour colours until
+    no class splits. Returns ranks 0..c-1 that keep the classes in their
+    order. The deadline is checked once per round."""
+    cells = 0
     while True:
-        ranks = {c: i for i, c in enumerate(sorted(set(colours)))}
-        cur = [ranks[c] for c in colours]
-        nxt = [
-            (cur[v], tuple(sorted(cur[u] for u in adj[v]))) for v in range(board.n)
-        ]
-        new_ranks = {c: i for i, c in enumerate(sorted(set(nxt)))}
-        refined = [new_ranks[c] for c in nxt]
-        if refined == cur:
-            return cur
-        colours = nxt
+        if deadline is not None:
+            deadline.check()
+        sigs = [(c, *sorted([colour[u] for u in ns])) for c, ns in zip(colour, nbrs)]
+        ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        if len(ranks) == cells:
+            return colour
+        colour = [ranks[s] for s in sigs]
+        cells = len(ranks)
+        if cells == len(colour):
+            return colour
 
 
-def canonical_key(board: SnortBoard):
-    """Isomorphism-invariant memo key: colour-refined, then the minimal
-    relabelling among orderings consistent with the refinement classes.
-    Falls back to the exact labelled structure when the class symmetry is
-    too large to enumerate."""
-    colours = _refine(board)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colours):
-        classes.setdefault(c, []).append(v)
-    total = 1
-    for members in classes.values():
-        for i in range(2, len(members) + 1):
-            total *= i
-        if total > _CANON_ORDERINGS_LIMIT:
-            return ("labelled", board.tints, tuple(sorted(board.edges)))
+def canonical_key(position: Position, deadline: Deadline | None = None) -> tuple:
+    """Isomorphism key of a position: equal exactly for positions that are
+    the same tinted graph up to relabelling, for every graph.
+
+    Individualization-refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Comput. 60, 2014): colours start from
+    the tints and are refined by the multiset of neighbour colours. While
+    a colour class has several vertices, each vertex of the first smallest
+    such class in turn gets a colour of its own, the colours are refined
+    again, and the search recurses. Every branch ends in a colouring with
+    one vertex per colour, an ordering, and the key is the least encoding
+    of the graph in such an ordering: the tint counts and each vertex's
+    relabelled neighbour mask. A vertex with the same neighbours as one
+    already tried in its class (apart from each other) is skipped, since
+    swapping the two is an automorphism and gives the same encodings."""
+    adj, alive, left, right = position
+    verts = []
+    todo = alive
+    while todo:
+        low = todo & -todo
+        verts.append(low.bit_length() - 1)
+        todo ^= low
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs = []
+    for v in verts:
+        ns = []
+        todo = adj[v] & alive
+        while todo:
+            low = todo & -todo
+            ns.append(index[low.bit_length() - 1])
+            todo ^= low
+        nbrs.append(ns)
+    # free < LEFT < RIGHT, and refinement keeps that order
+    colour = [(right >> v & 1) * 2 + (left >> v & 1) for v in verts]
     best = None
-    for perm_parts in itertools.product(
-        *(itertools.permutations(classes[c]) for c in sorted(classes))
-    ):
-        order = [v for part in perm_parts for v in part]
-        pos = {v: i for i, v in enumerate(order)}
-        enc = (
-            tuple(board.tints[v].value for v in order),
-            tuple(sorted((min(pos[a], pos[b]), max(pos[a], pos[b])) for a, b in board.edges)),
-        )
-        if best is None or enc < best:
-            best = enc
-    return ("canon", best)
+
+    def search(colour: list[int]) -> None:
+        nonlocal best
+        sizes = [0] * len(colour)
+        for c in colour:
+            sizes[c] += 1
+        cells = [(size, c) for c, size in enumerate(sizes) if size > 1]
+        if not cells:
+            enc = [0] * len(colour)
+            for c, ns in zip(colour, nbrs):
+                mask = 0
+                for u in ns:
+                    mask |= 1 << colour[u]
+                enc[c] = mask
+            enc = tuple(enc)
+            if best is None or enc < best:
+                best = enc
+            return
+        target = min(cells)[1]
+        tried: list[int] = []
+        for v, c in enumerate(colour):
+            if c != target or any(_twins(nbrs, u, v) for u in tried):
+                continue
+            tried.append(v)
+            split = [2 * d + (u != v) for u, d in enumerate(colour)]
+            search(_refine(split, nbrs, deadline))
+
+    search(_refine(colour, nbrs, deadline))
+    return (left & alive).bit_count(), (right & alive).bit_count(), best
+
+
+def _twins(nbrs: list[list[int]], u: int, v: int) -> bool:
+    """Whether u and v have the same neighbours apart from each other."""
+    return {w for w in nbrs[u] if w != v} == {w for w in nbrs[v] if w != u}
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +353,18 @@ def canonical_key(board: SnortBoard):
 
 
 def snort_game(board: SnortBoard, store: GameStore) -> Game:
-    """Canonical game value of a Snort position; connected components are
-    evaluated independently, memoized in canonical form, and summed."""
+    """Canonical game value of a Snort position. The board is split into
+    connected parts, each encoded as int masks; components are evaluated
+    independently, memoized in canonical form under `canonical_key`, and
+    summed."""
+    deadline = store.deadline
     return evaluate(
         store,
-        board,
+        encoded_parts(board, deadline),
         "snort",
-        SnortBoard.components,
-        canonical_key,
-        lambda b: (b.moves(True), b.moves(False)),
+        _components,
+        lambda p: canonical_key(p, deadline),
+        _moves,
     )
 
 
@@ -319,14 +383,13 @@ def graph_enumerate(max_vertices: int) -> Iterator[SnortBoard]:
     GRAPH_VERTEX_CAP.
 
     Each class on n vertices is extended by a new vertex n joined to every
-    nonempty subset of 0..n-1, and the first board seen for each
+    nonempty subset of 0..n-1, and the first graph seen for each
     `canonical_key` is kept. That reaches every class on n + 1 vertices: a
     leaf of a spanning tree of a connected graph leaves it connected when
     removed, so every connected graph on n + 1 vertices is a connected
     graph on n vertices plus one vertex with at least one neighbour. The
-    dedupe is exact because `canonical_key` is, while no refinement class
-    product exceeds _CANON_ORDERINGS_LIMIT, which holds for every graph on
-    at most 8 vertices (8! = 40,320)."""
+    key is exact, so is the dedupe. Graphs are grown as neighbour masks,
+    and a board is built only for each class kept."""
     if max_vertices > GRAPH_VERTEX_CAP:
         raise CeilingExceededError(
             f"graph enumeration capped at {GRAPH_VERTEX_CAP} vertices "
@@ -334,14 +397,22 @@ def graph_enumerate(max_vertices: int) -> Iterator[SnortBoard]:
         )
     if max_vertices < 1:
         return
-    level = [SnortBoard((Tint.FREE,), frozenset())]
-    yield from level
+    level = [(0,)]
+    yield from map(_graph_board, level)
     for n in range(1, max_vertices):
+        new = 1 << n
         classes = {}
-        for board in level:
-            for mask in range(1, 1 << n):
-                edges = board.edges | {(u, n) for u in range(n) if mask >> u & 1}
-                child = SnortBoard((Tint.FREE,) * (n + 1), edges)
-                classes.setdefault(canonical_key(child), child)
+        for adj in level:
+            for mask in range(1, new):
+                grown = [a | new if mask >> u & 1 else a for u, a in enumerate(adj)]
+                child = (*grown, mask)
+                classes.setdefault(canonical_key((child, 2 * new - 1, 0, 0)), child)
         level = list(classes.values())
-        yield from level
+        yield from map(_graph_board, level)
+
+
+def _graph_board(adj: tuple[int, ...]) -> SnortBoard:
+    return SnortBoard(
+        (Tint.FREE,) * len(adj),
+        frozenset((u, v) for v, a in enumerate(adj) for u in range(v) if a >> u & 1),
+    )

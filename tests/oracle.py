@@ -8,18 +8,24 @@ with memo tables of its own, so the tests can compare the two. Nodes are
 interned in the store under test, so results compare by id. The minimal
 witness constant, which the engine bisects for inside a stop bracket, is
 here the plain scan up the grid, and the graph census, which the engine
-grows one vertex at a time, is here a filter over every labelled edge set.
+grows one vertex at a time, is here a filter over every labelled edge set
+that drops the relabellings of each graph it keeps.
 The Domineering evaluator works on bitboards; the cell-set components,
-moves and reflection key it replaced are kept here.
+moves and reflection key it replaced are kept here. So are the Snort
+board's own moves and components, which the evaluator replaced with int
+masks, and the isomorphism key it replaced: colour refinement, then the
+least relabelling over every ordering consistent with the colour classes
+(exact, and factorial in the class sizes).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from hotgames import Dyadic, Game, GameStore, confusion_witness
 from hotgames.domineering import DomBoard
-from hotgames.snort import SnortBoard, Tint, canonical_key
+from hotgames.snort import SnortBoard, Tint
 
 
 class RawOracle:
@@ -152,6 +158,123 @@ def raw_dom_value(board: DomBoard, store: GameStore) -> int:
     return value(board.cells)
 
 
+def snort_neighbours(board: SnortBoard, v: int) -> list[int]:
+    out = []
+    for a, b in board.edges:
+        if a == v:
+            out.append(b)
+        elif b == v:
+            out.append(a)
+    return out
+
+
+def snort_play(board: SnortBoard, v: int, left: bool) -> SnortBoard:
+    """The board after the mover plays v: v and its neighbours tinted for
+    the opponent are removed, its free neighbours take the mover's tint,
+    and the rest keep their order."""
+    own = Tint.LEFT if left else Tint.RIGHT
+    other = Tint.RIGHT if left else Tint.LEFT
+    if board.tints[v] not in (Tint.FREE, own):
+        raise ValueError(f"vertex {v} is not playable by {'Left' if left else 'Right'}")
+    nbrs = set(snort_neighbours(board, v))
+    drop = {v} | {u for u in nbrs if board.tints[u] == other}
+    keep = [u for u in range(board.n) if u not in drop]
+    relabel = {u: i for i, u in enumerate(keep)}
+    tints = tuple(
+        own if (u in nbrs and board.tints[u] == Tint.FREE) else board.tints[u]
+        for u in keep
+    )
+    edges = frozenset(
+        (relabel[a], relabel[b])
+        for a, b in board.edges
+        if a in relabel and b in relabel
+    )
+    return SnortBoard(tints, edges)
+
+
+def snort_moves(board: SnortBoard, left: bool) -> list[SnortBoard]:
+    own = Tint.LEFT if left else Tint.RIGHT
+    return [
+        snort_play(board, v, left)
+        for v in range(board.n)
+        if board.tints[v] in (Tint.FREE, own)
+    ]
+
+
+def snort_components(board: SnortBoard) -> list[SnortBoard]:
+    """Connected parts, each relabelled in increasing vertex order."""
+    todo = set(range(board.n))
+    out = []
+    while todo:
+        comp = {todo.pop()}
+        frontier = list(comp)
+        while frontier:
+            for w in snort_neighbours(board, frontier.pop()):
+                if w in todo:
+                    todo.remove(w)
+                    comp.add(w)
+                    frontier.append(w)
+        relabel = {u: i for i, u in enumerate(sorted(comp))}
+        out.append(SnortBoard(
+            tuple(board.tints[u] for u in sorted(comp)),
+            frozenset(
+                (relabel[a], relabel[b])
+                for a, b in board.edges
+                if a in comp and b in comp
+            ),
+        ))
+    return out
+
+
+def snort_decode(position) -> SnortBoard:
+    """The board of an int position, its vertices relabelled in increasing
+    bit order."""
+    adj, alive, left, right = position
+    verts = [v for v in range(len(adj)) if alive >> v & 1]
+    relabel = {v: i for i, v in enumerate(verts)}
+    tints = tuple(
+        Tint.LEFT if left >> v & 1 else Tint.RIGHT if right >> v & 1 else Tint.FREE
+        for v in verts
+    )
+    edges = frozenset(
+        (relabel[u], relabel[v])
+        for v in verts
+        for u in verts
+        if u < v and adj[v] >> u & 1
+    )
+    return SnortBoard(tints, edges)
+
+
+def snort_key(board: SnortBoard):
+    """Colour-refined, then the least relabelling among the orderings
+    consistent with the refinement classes."""
+    adj = {v: snort_neighbours(board, v) for v in range(board.n)}
+    colours = [("t", board.tints[v].value) for v in range(board.n)]
+    while True:
+        ranks = {c: i for i, c in enumerate(sorted(set(colours)))}
+        cur = [ranks[c] for c in colours]
+        nxt = [(cur[v], tuple(sorted(cur[u] for u in adj[v]))) for v in range(board.n)]
+        if len(set(nxt)) == len(ranks):
+            break
+        colours = nxt
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(cur):
+        classes.setdefault(c, []).append(v)
+    best = None
+    for parts in itertools.product(
+        *(itertools.permutations(classes[c]) for c in sorted(classes))
+    ):
+        pos = {v: i for i, v in enumerate(v for part in parts for v in part)}
+        order = sorted(pos, key=pos.get)
+        enc = (
+            tuple(board.tints[v].value for v in order),
+            tuple(sorted(tuple(sorted((pos[a], pos[b]))) for a, b in board.edges)),
+        )
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
 def raw_snort_value(board: SnortBoard, store: GameStore) -> int:
     """Snort value as the plain game tree over the board's own moves."""
     memo: dict[SnortBoard, int] = {}
@@ -161,7 +284,8 @@ def raw_snort_value(board: SnortBoard, store: GameStore) -> int:
         if got is not None:
             return got
         res = memo[b] = store._node(
-            [value(nb) for nb in b.moves(True)], [value(nb) for nb in b.moves(False)]
+            [value(nb) for nb in snort_moves(b, True)],
+            [value(nb) for nb in snort_moves(b, False)],
         )
         return res
 
@@ -176,20 +300,27 @@ def minimal_k_by_scan(g: Game, step: Dyadic, eps: Game) -> Dyadic:
     return k
 
 
-def connected_graphs_by_edge_masks(n: int) -> list[SnortBoard]:
+@functools.cache
+def connected_graphs_by_edge_masks(n: int) -> tuple[SnortBoard, ...]:
     """One untinted board per isomorphism class of connected graphs on n
-    vertices: every labelled edge set, kept when it is connected and its
-    `canonical_key` is new."""
+    vertices: every labelled edge set in mask order, kept when it is
+    connected and no relabelling of it was kept before."""
     pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    relabellings = [
+        [index[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs]
+        for p in itertools.permutations(range(n))
+    ]
     seen = set()
     out = []
     for mask in range(1 << len(pairs)):
+        if mask in seen:
+            continue
         edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
         board = SnortBoard((Tint.FREE,) * n, edges)
-        if len(list(board.components())) != 1:
+        if len(snort_components(board)) != 1:
             continue
-        key = canonical_key(board)
-        if key not in seen:
-            seen.add(key)
-            out.append(board)
-    return out
+        used = [i for i in range(len(pairs)) if mask >> i & 1]
+        seen.update(sum(1 << image[i] for i in used) for image in relabellings)
+        out.append(board)
+    return tuple(out)

@@ -19,10 +19,34 @@ from hotgames import (
 )
 from hotgames import snort
 from hotgames.budget import Deadline
-from hotgames.snort import canonical_key
-from oracle import connected_graphs_by_edge_masks
+from hotgames.snort import _components, _moves, canonical_key, encoded_parts
+from oracle import (
+    connected_graphs_by_edge_masks,
+    snort_components,
+    snort_decode,
+    snort_key,
+    snort_moves,
+    snort_neighbours,
+    snort_play,
+)
 
 D = Dyadic
+
+
+def position(board):
+    """The int position of a connected board."""
+    [part] = encoded_parts(board)
+    return part
+
+
+def tinted_graphs(rng, tintings=1):
+    """Every connected graph on up to 6 vertices, each with `tintings`
+    seeded random tintings."""
+    for n in range(1, 7):
+        for graph in connected_graphs_by_edge_masks(n):
+            for _ in range(tintings):
+                tints = tuple(rng.choice(list(Tint)) for _ in range(n))
+                yield SnortBoard(tints, graph.edges)
 
 
 # -- boards -------------------------------------------------------------------
@@ -70,17 +94,41 @@ def test_star_board():
 def test_play_retints_and_kills():
     # L piece next to an R-tinted vertex: playing kills the R vertex
     board = SnortBoard((Tint.FREE, Tint.RIGHT), frozenset({(0, 1)}))
-    after = board.play(0, left=True)
-    assert after.n == 0
+    [after], _ = _moves(position(board))
+    assert snort_decode(after).n == 0
     board2 = SnortBoard((Tint.FREE, Tint.FREE), frozenset({(0, 1)}))
-    after2 = board2.play(0, left=True)
-    assert after2.tints == (Tint.LEFT,)
+    after2 = _moves(position(board2))[0][0]
+    assert snort_decode(after2).tints == (Tint.LEFT,)
 
 
 def test_play_rejects_opponent_tint():
     board = SnortBoard((Tint.RIGHT,), frozenset())
+    lefts, rights = _moves(position(board))
+    assert lefts == [] and len(rights) == 1
     with pytest.raises(ValueError):
-        board.play(0, left=True)
+        snort_play(board, 0, left=True)
+
+
+def test_mask_moves_and_components_decode_to_the_oracle(rng):
+    for board in tinted_graphs(rng):
+        pos = position(board)
+        assert snort_decode(pos) == board
+        for left, options in zip((True, False), _moves(pos)):
+            expect = snort_moves(board, left)
+            assert [snort_decode(o) for o in options] == expect
+            for option, b in zip(options, expect):
+                got = sorted(snort_decode(c).format() for c in _components(option))
+                assert got == sorted(c.format() for c in snort_components(b))
+
+
+def test_encoded_parts_decode_to_the_oracle_components(rng):
+    tints = tuple(rng.choice(list(Tint)) for _ in range(9))
+    board = SnortBoard(tints, frozenset({(0, 5), (5, 7), (2, 3), (4, 8), (1, 8)}))
+    got = [snort_decode(p) for p in encoded_parts(board)]
+    assert sorted(b.format() for b in got) == sorted(
+        b.format() for b in snort_components(board)
+    )
+    assert [b.n for b in got] == [3, 3, 2, 1]  # in order of their lowest vertex
 
 
 # -- values -------------------------------------------------------------------
@@ -162,9 +210,9 @@ def test_expired_deadline_stops_before_keying_components(monkeypatch):
     # every isolated vertex is *, a memo hit that allocates no node
     keyed = []
 
-    def key(b):
-        keyed.append(b)
-        return canonical_key(b)
+    def key(p, deadline=None):
+        keyed.append(p)
+        return canonical_key(p, deadline)
 
     monkeypatch.setattr(snort, "canonical_key", key)
     board = SnortBoard((Tint.FREE,) * 1000, frozenset())
@@ -174,20 +222,54 @@ def test_expired_deadline_stops_before_keying_components(monkeypatch):
 
 
 def test_expired_deadline_stops_before_splitting_every_component(monkeypatch):
-    # components are built one at a time, so the budget check between
-    # them stops the split, not only the keying
+    # parts are encoded one at a time, so the budget check between them
+    # stops the split, not only the keying
+    split = []
     built = []
-    post_init = SnortBoard.__post_init__
+    parts = snort.encoded_parts
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counting(board, deadline=None):
+        split.append(board)
+        for part in parts(board, deadline):
+            built.append(part)
+            yield part
 
     board = SnortBoard((Tint.FREE,) * 1000, frozenset())
-    monkeypatch.setattr(SnortBoard, "__post_init__", counting)
+    monkeypatch.setattr(snort, "encoded_parts", counting)
     with pytest.raises(TimeBudgetError):
         snort_game(board, GameStore(deadline=Deadline(-1)))
-    assert 0 < len(built) <= 3
+    assert split == [board] and len(built) <= 3
+
+
+class CountingDeadline:
+    """A deadline that runs out after a fixed number of checks."""
+
+    def __init__(self, checks: int):
+        self.checks = checks
+
+    def check(self) -> None:
+        self.checks -= 1
+        if self.checks < 0:
+            raise TimeBudgetError("out of checks")
+
+
+def test_deadline_stops_canonical_key_inside_one_part():
+    # refining a path's colours takes a round per vertex pair, so a
+    # budget checked only per part or component would not stop it
+    store = GameStore(deadline=CountingDeadline(10))
+    with pytest.raises(TimeBudgetError) as exc:
+        snort_game(snort_path(3000), store)
+    assert any(entry.name == "canonical_key" for entry in exc.traceback)
+
+
+def test_disjoint_edges_sum_canonically():
+    # each edge is ±1; summed raw, k of them build a game whose node count
+    # is exponential in k, which the node budget stops early
+    store = GameStore(max_nodes=50)
+    board = SnortBoard(
+        (Tint.FREE,) * 4000, frozenset((2 * i, 2 * i + 1) for i in range(2000))
+    )
+    assert snort_game(board, store) == store.zero
 
 
 def test_positions_on_paths_decompose_into_decorated_paths(store, rng):
@@ -198,19 +280,19 @@ def test_positions_on_paths_decompose_into_decorated_paths(store, rng):
     while frontier and seen < 200:
         board = frontier.pop()
         seen += 1
-        for comp in board.components():
+        for comp in snort_components(board):
             order = _path_order(comp)
             assert order is not None, "component is not a path"
             for v in order[1:-1]:
                 assert comp.tints[v] == Tint.FREE
         for left in (True, False):
-            frontier.extend(board.moves(left))
+            frontier.extend(snort_moves(board, left))
 
 
 def _path_order(board):
     if board.n == 1:
         return [0]
-    adj = {v: board.neighbours(v) for v in range(board.n)}
+    adj = {v: snort_neighbours(board, v) for v in range(board.n)}
     ends = [v for v, ns in adj.items() if len(ns) == 1]
     if len(ends) != 2 or any(len(ns) > 2 for ns in adj.values()):
         return None
@@ -230,23 +312,91 @@ def _path_order(board):
 
 def test_canonical_key_isomorphism_invariant(rng):
     base = snort_path(5, "L")
-    key = canonical_key(base)
+    key = canonical_key(position(base))
     for _ in range(10):
-        perm = list(range(base.n))
-        rng.shuffle(perm)
-        tints = [None] * base.n
-        for v, p in enumerate(perm):
-            tints[p] = base.tints[v]
-        edges = frozenset(
-            (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in base.edges
-        )
-        assert canonical_key(SnortBoard(tuple(tints), edges)) == key
+        assert canonical_key(position(relabelled(base, rng))) == key
+
+
+def relabelled(board, rng):
+    perm = list(range(board.n))
+    rng.shuffle(perm)
+    tints = [None] * board.n
+    for v, p in enumerate(perm):
+        tints[p] = board.tints[v]
+    edges = frozenset(
+        (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in board.edges
+    )
+    return SnortBoard(tuple(tints), edges)
 
 
 def test_canonical_key_distinguishes_tints():
     a = snort_path(3, "L")
     b = snort_path(3, "R")
-    assert canonical_key(a) != canonical_key(b)
+    assert canonical_key(position(a)) != canonical_key(position(b))
+
+
+def test_mask_key_and_oracle_key_induce_the_same_classes(rng):
+    boards = []
+    for board in tinted_graphs(rng, tintings=3):
+        boards += [board, relabelled(board, rng)]
+    new_of_old = {}
+    old_of_new = {}
+    for board in boards:
+        old, new = snort_key(board), canonical_key(position(board))
+        assert new_of_old.setdefault(old, new) == new
+        assert old_of_new.setdefault(new, old) == old
+    assert len(new_of_old) > len(boards) // 3
+
+
+def test_canonical_key_is_exact_on_symmetric_graphs(rng):
+    # each of these refines to at most two colour classes, so the key
+    # rests on individualization; stars and complete graphs are all twins
+    from itertools import combinations
+
+    def graph(n, edges):
+        return SnortBoard((Tint.FREE,) * n, frozenset(edges))
+
+    def cycle(n):
+        return graph(n, ((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)))
+
+    triangles = {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}
+    boards = [
+        snort_star(12),
+        graph(9, combinations(range(9), 2)),
+        cycle(12),
+        cycle(6),
+        graph(6, ((a, b) for a in range(3) for b in range(3, 6))),  # K_{3,3}
+        graph(6, triangles | {(0, 3), (1, 4), (2, 5)}),  # the prism, also 3-regular
+        graph(6, triangles | {(2, 3)}),
+    ]
+    keys = [canonical_key(position(b)) for b in boards]
+    assert len(set(keys)) == len(keys)
+    for b, key in zip(boards, keys):
+        assert canonical_key(position(relabelled(b, rng))) == key
+
+
+def test_canonical_key_individualizes_where_refinement_cannot_split(rng):
+    # a hub joined to every vertex of some disjoint cycles: each rim vertex
+    # has the hub and two rim vertices as neighbours, so colour refinement
+    # leaves the whole rim one class, though the cycle lengths tell rim
+    # vertices apart; only the search over every rim vertex is canonical
+    def hub_and_cycles(*lengths):
+        edges = set()
+        start = 1
+        for k in lengths:
+            rim = range(start, start + k)
+            edges |= {(0, v) for v in rim}
+            edges |= {(min(v, w), max(v, w)) for v, w in zip(rim, [*rim[1:], rim[0]])}
+            start += k
+        return SnortBoard((Tint.FREE,) * start, frozenset(edges))
+
+    rims = ((12,), (6, 6), (6, 3, 3), (3, 3, 3, 3), (4, 4, 4), (5, 4, 3))
+    boards = [hub_and_cycles(*rim) for rim in rims]
+    keys = [canonical_key(position(b)) for b in boards]
+    assert len(set(keys)) == len(keys)
+    for b, key in zip(boards, keys):
+        for _ in range(4):
+            assert canonical_key(position(relabelled(b, rng))) == key
 
 
 def test_graph_enumeration_counts():
@@ -255,22 +405,22 @@ def test_graph_enumeration_counts():
     for b in boards:
         counts[b.n] = counts.get(b.n, 0) + 1
     assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
-    assert all(len(list(b.components())) == 1 for b in boards)
+    assert all(len(snort_components(b)) == 1 for b in boards)
     assert all(t == Tint.FREE for b in boards for t in b.tints)
-    assert len({canonical_key(b) for b in boards}) == len(boards)
+    assert len({canonical_key(position(b)) for b in boards}) == len(boards)
     assert all(a.n <= b.n for a, b in zip(boards, boards[1:]))
     assert list(graph_enumerate(0)) == list(graph_enumerate(-1)) == []
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_graph_enumeration_matches_edge_mask_oracle(n):
-    grown = {canonical_key(b) for b in graph_enumerate(n) if b.n == n}
-    assert grown == {canonical_key(b) for b in connected_graphs_by_edge_masks(n)}
+    grown = {snort_key(b) for b in graph_enumerate(n) if b.n == n}
+    assert grown == {snort_key(b) for b in connected_graphs_by_edge_masks(n)}
 
 
 def test_graph_enumeration_contains_stars():
-    stars = [canonical_key(snort_star(n)) for n in range(1, 5)]
-    found = {canonical_key(b) for b in graph_enumerate(5)}
+    stars = [canonical_key(position(snort_star(n))) for n in range(1, 5)]
+    found = {canonical_key(position(b)) for b in graph_enumerate(5)}
     assert all(k in found for k in stars)
 
 
