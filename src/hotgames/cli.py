@@ -136,22 +136,14 @@ def _eval_report(g: Game) -> dict:
 
 
 def _print_eval(report: dict) -> str:
-    rows = [
-        ("canonical", report["canonical"]),
-        ("outcome", report["outcome"]),
-        ("left stop", report["left_stop"]),
-        ("right stop", report["right_stop"]),
-        ("ell", report["ell"]),
-        ("temperature", report["temperature"]),
-        ("mean", report["mean"]),
-    ]
-    return "\n".join(f"{k:12} {v}" for k, v in rows)
+    """One `key value` row per entry of an `_eval_report` dict."""
+    return "\n".join(f"{k.replace('_', ' '):12} {v}" for k, v in report.items())
 
 
 def cmd_eval(args, store: GameStore) -> int:
     g = parse_expr(args.expr, store)
-    report = {"expression": args.expr, **_eval_report(g)}
-    _emit(report, args.format, lambda: _print_eval(report))
+    ev = _eval_report(g)
+    _emit({"expression": args.expr, **ev}, args.format, lambda: _print_eval(ev))
     return EXIT_OK
 
 
@@ -184,8 +176,8 @@ def cmd_board(args, store: GameStore) -> int:
     board = board_type.parse(raw)
     g = game_of(board, store)
     shown = board.format()
-    report = {"board": shown, **_eval_report(g)}
-    _emit(report, args.format, lambda: shown + "\n" + _print_eval(report))
+    ev = _eval_report(g)
+    _emit({"board": shown, **ev}, args.format, lambda: shown + "\n" + _print_eval(ev))
     return EXIT_OK
 
 

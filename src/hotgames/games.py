@@ -49,28 +49,17 @@ class Outcome(Enum):
     R = "R"  # Right wins regardless of who starts
 
 
-# Hasse order: L above N and P, both above R; N and P incomparable.
-_OUTCOME_GEQ = {
-    (a, a) for a in Outcome
-} | {
-    (Outcome.L, Outcome.N),
-    (Outcome.L, Outcome.P),
-    (Outcome.L, Outcome.R),
-    (Outcome.N, Outcome.R),
-    (Outcome.P, Outcome.R),
-}
-
-
 def outcome_geq(a: Outcome, b: Outcome) -> bool:
-    return (a, b) in _OUTCOME_GEQ
+    """Hasse order: L above N and P, both above R; N and P incomparable."""
+    return a is b or a is Outcome.L or b is Outcome.R
 
 
 def outcome_leq(a: Outcome, b: Outcome) -> bool:
-    return (b, a) in _OUTCOME_GEQ
+    return outcome_geq(b, a)
 
 
 def outcome_comparable(a: Outcome, b: Outcome) -> bool:
-    return (a, b) in _OUTCOME_GEQ or (b, a) in _OUTCOME_GEQ
+    return outcome_geq(a, b) or outcome_geq(b, a)
 
 
 class Game:
@@ -383,50 +372,36 @@ class GameStore:
         got = memo.get(i)
         if got is not None:
             return got
+        # both sides' children first: marking one fills `_memo_number`,
+        # which `_leq` reads while either side is reduced
         left = sorted({self._canonical(l) for l in self._left[i]})
         right = sorted({self._canonical(r) for r in self._right[i]})
-        while True:
-            # drop dominated options (eq options already share one id)
-            left = [
-                l
-                for l in left
-                if not any(o != l and self._leq(l, o) for o in left)
-            ]
-            right = [
-                r
-                for r in right
-                if not any(o != r and self._leq(o, r) for o in right)
-            ]
-            # bypass the first reversible option, then start over
-            replaced = False
-            for l in left:
-                for lr in self._right[l]:
-                    if self._leq(lr, i):
-                        left = sorted(
-                            {x for x in left if x != l} | set(self._left[lr])
-                        )
-                        replaced = True
-                        break
-                if replaced:
-                    break
-            if replaced:
-                continue
-            for r in right:
-                for rl in self._left[r]:
-                    if self._leq(i, rl):
-                        right = sorted(
-                            {x for x in right if x != r} | set(self._right[rl])
-                        )
-                        replaced = True
-                        break
-                if replaced:
-                    break
-            if not replaced:
-                break
+        left = self._reduce(i, left, self._left, self._right, self._leq)
+        right = self._reduce(
+            i, right, self._right, self._left, lambda a, b: self._leq(b, a)
+        )
         res = self._node(left, right)
         self._mark_canonical(res, self._number_value(res))
         memo[i] = res
         return res
+
+    def _reduce(self, i: int, opts: list[int], same, back, worse) -> list[int]:
+        """One side's canonical options of node i, from its sorted canonical
+        children `opts`. `same` and `back` are the option tables of this
+        side and of the other, and `worse(a, b)` says a is no better than b
+        for this side's player. An option o is reversible through a reply
+        p in back[o] with worse(p, i), and its bypass is same[p]. Removing
+        dominated options and bypassing reversible ones reaches the
+        canonical form (Siegel, Combinatorial Game Theory, ch. II)."""
+        while True:
+            # drop dominated options (eq options already share one id)
+            opts = [o for o in opts if not any(p != o and worse(o, p) for p in opts)]
+            # bypass the first reversible option, then start over
+            hit = next(((o, p) for o in opts for p in back[o] if worse(p, i)), None)
+            if hit is None:
+                return opts
+            o, p = hit
+            opts = sorted({x for x in opts if x != o} | set(same[p]))
 
     def _mark_canonical(self, i: int, x: Dyadic | None) -> None:
         """Record that node i is a canonical form with number value x (None

@@ -1,17 +1,23 @@
+import random
+
 import pytest
 
 from hotgames import (
     Dyadic,
     ForeignHandleError,
+    Game,
     GameStore,
     Outcome,
     TimeBudgetError,
     outcome_comparable,
     outcome_geq,
+    outcome_leq,
     parse_expr,
 )
 from hotgames.budget import Deadline
 from hotgames.sampling import random_game
+
+from oracle import RawOracle
 
 
 def test_zero_is_empty_node(store):
@@ -86,12 +92,15 @@ def test_outcome_examples(store):
 
 
 def test_outcome_partial_order():
-    assert outcome_geq(Outcome.L, Outcome.N)
-    assert outcome_geq(Outcome.L, Outcome.P)
-    assert outcome_geq(Outcome.N, Outcome.R)
-    assert outcome_geq(Outcome.P, Outcome.R)
-    assert not outcome_comparable(Outcome.N, Outcome.P)
-    assert not outcome_geq(Outcome.N, Outcome.L)
+    # Hasse order: L above N and P, both above R; N and P incomparable
+    L, N, P, R = Outcome.L, Outcome.N, Outcome.P, Outcome.R
+    above = {(L, N), (L, P), (L, R), (N, R), (P, R)} | {(a, a) for a in Outcome}
+    for a in Outcome:
+        for b in Outcome:
+            assert outcome_geq(a, b) == ((a, b) in above), (a, b)
+            assert outcome_leq(a, b) == ((b, a) in above), (a, b)
+            comparable = (a, b) in above or (b, a) in above
+            assert outcome_comparable(a, b) == comparable, (a, b)
 
 
 def test_leq_examples(store):
@@ -121,6 +130,47 @@ def test_canonical_idempotent_random(store, rng):
         g = random_game(rng, store)
         c = g.canonical()
         assert c.canonical() == c
+
+
+def test_canonical_form_definition_random(store):
+    """Every node of c = canonical(G) has no dominated and no reversible
+    option, and c equals G. Each order question is answered by the outcome
+    of a raw difference, so the check shares no code with `_leq` or
+    `_canonical`."""
+    oracle = RawOracle(store)
+
+    def leq(a: int, b: int) -> bool:  # b - a >= 0: Left wins moving second
+        return store.outcome(Game(store, oracle.sub(b, a))) in (Outcome.L, Outcome.P)
+
+    left, right = store._left, store._right
+    violations = []
+    seen: set[int] = set()
+
+    def check(c: int) -> None:
+        if c in seen:
+            return
+        seen.add(c)
+        for a in left[c]:
+            if any(a != b and leq(a, b) for b in left[c]):
+                violations.append(("dominated", c, a))
+            if any(leq(ar, c) for ar in right[a]):
+                violations.append(("reversible", c, a))
+            check(a)
+        for a in right[c]:
+            if any(a != b and leq(b, a) for b in right[c]):
+                violations.append(("dominated", c, a))
+            if any(leq(c, al) for al in left[a]):
+                violations.append(("reversible", c, a))
+            check(a)
+
+    rng = random.Random(20190612)
+    for _ in range(400):
+        g = random_game(rng, store, max_depth=3, max_options=3)
+        c = g.canonical().id
+        if not (leq(c, g.id) and leq(g.id, c)):
+            violations.append(("unequal", g.id, c))
+        check(c)
+    assert not violations, f"{len(violations)} violations, first {violations[:3]}"
 
 
 def test_from_dyadic_integers(store):
