@@ -8,9 +8,9 @@ are memoized per store.
 
 Board values come from one evaluator, `evaluate`: it takes a board's
 parts, memoizes each part's canonical value under a ruleset's symmetry
-key, recurses on the part's options (split into components) and sums the
-parts canonically. `dom_game` and `snort_game` are calls to it with their
-hooks.
+key (computed once per exact position per call), recurses on the part's
+options (split into components) and sums the parts canonically.
+`dom_game` and `snort_game` are calls to it with their hooks.
 
 Canonical at the boundary: the `+`/`-` operators on `Game` canonicalize
 both operands and return the canonical form of the sum, and so do the
@@ -505,8 +505,14 @@ def evaluate(
     order and canonicalized after each addition, so the same multiset of
     parts always reaches the same node, and k hot parts never build a raw
     sum whose size is exponential in k.
+
+    A transposition is found before any key is computed: each exact
+    position this call reaches is mapped to its value's node id in a
+    table that lives only for the call, so positions must be hashable,
+    and equal positions must have equal keys.
     """
     memo = store.cache(memo_name)
+    seen: dict = {}  # exact position -> memo[key(position)], for this call only
 
     def total(ps) -> int:
         res = store.zero.id
@@ -518,18 +524,21 @@ def evaluate(
         # a part that is a memo hit allocates no node, so the key is budgeted here
         if store.deadline is not None:
             store.deadline.check()
-        k = key(c)
-        got = memo.get(k)
+        got = seen.get(c)
         if got is not None:
             return got
-        left, right = moves(c)
-        res = store._canonical(
-            store._node(
-                [total(components(o)) for o in left],
-                [total(components(o)) for o in right],
+        k = key(c)
+        got = memo.get(k)
+        if got is None:
+            left, right = moves(c)
+            got = store._canonical(
+                store._node(
+                    [total(components(o)) for o in left],
+                    [total(components(o)) for o in right],
+                )
             )
-        )
-        memo[k] = res
-        return res
+            memo[k] = got
+        seen[c] = got
+        return got
 
     return Game(store, total(parts))

@@ -185,7 +185,9 @@ def encoded_parts(
     Adjacency lists are built in one pass over the edges. Each part's
     vertices get local labels 0..k-1 in increasing board order, so its
     masks take about k*k/16 bytes and the encoding stays linear in a
-    board whose parts are small. The deadline is checked once per part."""
+    board whose parts are small. The deadline is checked at the start of
+    each part and then once every 1,024 vertices of its search and of its
+    mask build, so one large part is not paid for before the first check."""
     nbrs: list[list[int]] = [[] for _ in range(board.n)]
     for a, b in board.edges:
         nbrs[a].append(b)
@@ -194,25 +196,29 @@ def encoded_parts(
     for seed in range(board.n):
         if seen[seed]:
             continue
-        if deadline is not None:
-            deadline.check()
         seen[seed] = 1
         part = [seed]
-        for v in part:  # grows while it is read: a breadth-first search
+        # part grows while it is read: a breadth-first search
+        for i, v in enumerate(part):
+            if deadline is not None and not i & 1023:
+                deadline.check()
             for w in nbrs[v]:
                 if not seen[w]:
                     seen[w] = 1
                     part.append(w)
         part.sort()
         label = {v: i for i, v in enumerate(part)}
-        adj = tuple([sum([1 << label[w] for w in nbrs[v]]) for v in part])
+        adj = []
         left = right = 0
         for i, v in enumerate(part):
+            if deadline is not None and i and not i & 1023:
+                deadline.check()
+            adj.append(sum([1 << label[w] for w in nbrs[v]]))
             if board.tints[v] is Tint.LEFT:
                 left |= 1 << i
             elif board.tints[v] is Tint.RIGHT:
                 right |= 1 << i
-        yield adj, (1 << len(part)) - 1, left, right
+        yield tuple(adj), (1 << len(part)) - 1, left, right
 
 
 def _components(position: Position) -> Iterator[Position]:

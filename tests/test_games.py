@@ -9,12 +9,19 @@ from hotgames import (
     GameStore,
     Outcome,
     TimeBudgetError,
+    dom_game,
+    grid,
     outcome_comparable,
     outcome_geq,
     outcome_leq,
     parse_expr,
+    snort_game,
+    snort_grid,
+    snort_path,
 )
+from hotgames import domineering, snort
 from hotgames.budget import Deadline
+from hotgames.games import evaluate
 from hotgames.sampling import random_game
 
 from oracle import RawOracle
@@ -206,3 +213,91 @@ def test_switch_and_plus_minus(store):
     pm = store.plus_minus(g)
     assert pm == parse_expr("±{9|3}", store)
     assert pm == parse_expr("+-{9|3}", store)
+
+
+class _Fresh:
+    """A position box that equals only itself, so `evaluate` finds no
+    transposition among boxes and keys every position it reaches."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        self.p = p
+
+
+def _keyed_every_time(store, parts, memo_name, components, key, moves):
+    """`evaluate` with each position boxed afresh, and its key-call count."""
+    calls = []
+
+    def box(ps):
+        return [_Fresh(p) for p in ps]
+
+    def keyed(b):
+        calls.append(b)
+        return key(b.p)
+
+    g = evaluate(
+        store,
+        box(parts),
+        memo_name,
+        lambda b: box(components(b.p)),
+        keyed,
+        lambda b: tuple(box(os) for os in moves(b.p)),
+    )
+    return g, len(calls)
+
+
+def _snort_hooks(board):
+    return (
+        snort.encoded_parts(board),
+        "snort",
+        snort._components,
+        snort.canonical_key,
+        snort._moves,
+    )
+
+
+def _dom_hooks(board):
+    mask, stride = domineering._board_mask(board)
+    return (
+        domineering._components(mask, stride),
+        "domineering",
+        lambda m: domineering._components(m, stride),
+        lambda m: domineering._reflection_key(m, stride),
+        lambda m: domineering._moves(m, stride),
+    )
+
+
+@pytest.mark.parametrize(
+    "evaluator, hooks, module, key_name, board",
+    [
+        (snort_game, _snort_hooks, snort, "canonical_key", snort_grid(2, 4)),
+        (snort_game, _snort_hooks, snort, "canonical_key", snort_path(8)),
+        (dom_game, _dom_hooks, domineering, "_reflection_key", grid(2, 8)),
+    ],
+    ids=["snort-2x4", "snort-path8", "domineering-2x8"],
+)
+def test_evaluate_keys_each_position_once(
+    monkeypatch, evaluator, hooks, module, key_name, board
+):
+    reference = GameStore()
+    parts, memo_name, *rest = hooks(board)
+    expected, reference_calls = _keyed_every_time(reference, parts, memo_name, *rest)
+
+    keyed = []
+    key = getattr(module, key_name)
+
+    def counting(p, *args):
+        keyed.append(p)
+        return key(p, *args)
+
+    monkeypatch.setattr(module, key_name, counting)
+    store = GameStore()
+    g = evaluator(board, store)
+    assert len(keyed) == len(set(keyed))
+    # the boards have transpositions, so keying each once saves calls
+    assert len(keyed) < reference_calls
+    # the same nodes in the same order as keying every position reached
+    assert g.id == expected.id and len(store) == len(reference)
+    # the position table lives only for the call
+    assert list(store._caches) == list(reference._caches) == [memo_name]

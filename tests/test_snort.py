@@ -262,6 +262,17 @@ def test_deadline_stops_canonical_key_inside_one_part():
     assert any(entry.name == "canonical_key" for entry in exc.traceback)
 
 
+def test_deadline_stops_encoding_inside_one_part():
+    # one part of k vertices costs about k*k/16 bytes of neighbour masks,
+    # so the budget is checked every 1,024 vertices while it is encoded:
+    # here the search checks 5 times and the mask build stops at 1,024
+    store = GameStore(deadline=CountingDeadline(5))
+    with pytest.raises(TimeBudgetError) as exc:
+        snort_game(snort_path(5000), store)
+    names = [entry.name for entry in exc.traceback]
+    assert "encoded_parts" in names and "canonical_key" not in names
+
+
 def test_disjoint_edges_sum_canonically():
     # each edge is ±1; summed raw, k of them build a game whose node count
     # is exponential in k, which the node budget stops early
