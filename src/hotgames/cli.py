@@ -77,25 +77,30 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="evaluate a game expression")
     pe.add_argument("expr")
     pe.add_argument("--format", **fmt)
+    pe.set_defaults(run=cmd_eval)
 
     pt = sub.add_parser("thermo", help="thermograph of an expression")
     pt.add_argument("expr")
     pt.add_argument("--format", choices=("text", "json", "svg"), default="text")
+    pt.set_defaults(run=cmd_thermo)
 
     pb = sub.add_parser("board", help="evaluate a ruleset board")
     pb.add_argument("ruleset", choices=RULESETS)
     pb.add_argument("path", nargs="?", help="board file (omit with --text)")
     pb.add_argument("--text", help="inline board text")
     pb.add_argument("--format", **fmt)
+    pb.set_defaults(run=cmd_board)
 
     pta = sub.add_parser("tables", help="recompute a published temperature table")
     pta.add_argument("which", choices=sorted(TABLES))
     pta.add_argument("--max-n", type=positive_int)
     pta.add_argument("--format", **fmt)
+    pta.set_defaults(run=cmd_tables)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=sorted(SUITES) + ["all"])
     pv.add_argument("--format", **fmt)
+    pv.set_defaults(run=cmd_verify)
 
     ps = sub.add_parser("scan", help="confusion-interval class scans")
     ps.add_argument(
@@ -110,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid step for witness searches",
     )
     ps.add_argument("--format", **fmt)
+    ps.set_defaults(run=cmd_scan)
 
     return p
 
@@ -304,18 +310,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    commands = {
-        "eval": cmd_eval,
-        "thermo": cmd_thermo,
-        "board": cmd_board,
-        "tables": cmd_tables,
-        "verify": cmd_verify,
-        "scan": cmd_scan,
-    }
     try:
         # the store interns 0, *, ^ and v first, so a tiny --max-nodes fails here
         store = GameStore(args.max_nodes, Deadline(args.time_budget_s))
-        code = commands[args.command](args, store)
+        code = args.run(args, store)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -323,9 +321,6 @@ def main(argv=None) -> int:
         # devnull so the interpreter's final flush has somewhere to write.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (NodeBudgetError, TimeBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -184,9 +184,7 @@ class Dyadic:
 
 
 ZERO = Dyadic(0)
-ONE = Dyadic(1)
 MINUS_ONE = Dyadic(-1)
-HALF = Dyadic(1, 1)
 
 
 def dyadic(value) -> Dyadic:

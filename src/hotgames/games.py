@@ -122,9 +122,6 @@ class Game:
     def leq(self, other: "Game") -> bool:
         return self.store.leq(self, other)
 
-    def geq(self, other: "Game") -> bool:
-        return self.store.leq(other, self)
-
     def eq(self, other: "Game") -> bool:
         return self.store.leq(self, other) and self.store.leq(other, self)
 

@@ -15,7 +15,7 @@ _W, _H = 480, 360
 _PAD = 48
 
 
-def thermograph_svg(th: Thermograph, title: str | None = None) -> str:
+def thermograph_svg(th: Thermograph, title: str) -> str:
     xs = [float(x) for _, x in th.left_wall + th.right_wall]
     ts = [float(t) for t, _ in th.left_wall + th.right_wall]
     mast_top = float(th.temperature) + max(1.0, (max(ts) - min(ts)) * 0.4)
@@ -49,13 +49,10 @@ def thermograph_svg(th: Thermograph, title: str | None = None) -> str:
         'stroke-dasharray="6 4"/>',
         f'<text x="{mast_x + 6:.2f}" y="{sy(float(th.temperature)) - 6:.2f}" '
         f'font-size="12" font-family="monospace">t={th.temperature} m={th.mast}</text>',
+        f'<text x="{_PAD}" y="20" font-size="13" font-family="monospace">'
+        f"{_escape(title)}</text>",
+        "</svg>",
     ]
-    if title:
-        parts.append(
-            f'<text x="{_PAD}" y="20" font-size="13" font-family="monospace">'
-            f"{_escape(title)}</text>"
-        )
-    parts.append("</svg>")
     return "\n".join(parts)
 
 

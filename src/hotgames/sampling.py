@@ -13,9 +13,10 @@ from .games import Game, GameStore
 from .thermal import is_hot
 
 
-def random_dyadic(rng: random.Random, span: int = 8, max_exp: int = 2) -> Dyadic:
-    exp = rng.randint(0, max_exp)
-    return Dyadic(rng.randint(-span << exp, span << exp), exp)
+def random_dyadic(rng: random.Random) -> Dyadic:
+    """Uniform over the multiples of 1/2^e in [-8, 8], for a random e <= 2."""
+    exp = rng.randint(0, 2)
+    return Dyadic(rng.randint(-8 << exp, 8 << exp), exp)
 
 
 def random_game(
@@ -38,16 +39,10 @@ def random_game(
     return store.make(left, right)
 
 
-def random_hot_game(
-    rng: random.Random,
-    store: GameStore,
-    max_depth: int = 3,
-    max_options: int = 3,
-    max_tries: int = 500,
-) -> Game:
+def random_hot_game(rng: random.Random, store: GameStore) -> Game:
     """Rejection-sample a hot game (left stop strictly above right stop)."""
-    for _ in range(max_tries):
-        g = random_game(rng, store, max_depth, max_options)
+    for _ in range(500):
+        g = random_game(rng, store)
         if g.left_options and g.right_options and is_hot(g):
             return g
     # guaranteed hot fallback: a random switch

@@ -54,8 +54,6 @@ class SnortBoard:
         return len(self.tints)
 
     def degree(self) -> int:
-        if not self.tints:
-            return 0
         counts = [0] * self.n
         for a, b in self.edges:
             counts[a] += 1

@@ -85,10 +85,6 @@ class Thermograph:
     left_wall: tuple[Point, ...]
     right_wall: tuple[Point, ...]
 
-    @property
-    def mean(self) -> Dyadic:
-        return self.mast
-
     def left_x(self, t: Dyadic) -> Dyadic:
         return Trajectory(self.left_wall).value(t)
 
@@ -231,15 +227,6 @@ class WallDecomposition:
     kinds: tuple[str, ...]
     t_vertical: Dyadic
     t_oblique: Dyadic
-
-    def to_json_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "turning_points": [str(t) for t in self.turning_points],
-            "kinds": list(self.kinds),
-            "t_vertical": str(self.t_vertical),
-            "t_oblique": str(self.t_oblique),
-        }
 
 
 def _decompose(wall: tuple[Point, ...], t_star: Dyadic, side: str) -> WallDecomposition:

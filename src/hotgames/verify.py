@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .bounds import confusion_witness, tightness_sequence
+from .bounds import class_scan, confusion_witness, tightness_sequence
 from .domineering import dom_game, snake_enumerate
-from .dyadic import ZERO, Dyadic
+from .dyadic import Dyadic
 from .games import GameStore, Outcome
 from .sampling import random_game
 from .thermal import ell, left_stop, right_stop, temperature
@@ -56,33 +56,28 @@ class VerifyResult:
         return "\n".join(lines)
 
 
-def verify_tightness(store: GameStore, max_n: int = 6) -> VerifyResult:
+def verify_tightness(store: GameStore) -> VerifyResult:
     """t(G_n) = 9 - 3/2^n for the switch tower, staying below 9."""
     res = VerifyResult("tightness")
-    for i, (g, t) in enumerate(tightness_sequence(max_n, store)):
+    for i, (g, t) in enumerate(tightness_sequence(6, store)):
         want = Dyadic(9) - Dyadic(3, i)
         res.add(f"t(G_{i}) = {want}", t == want and t <= Dyadic(9), f"got {t}")
     return res
 
 
-def verify_snakes(store: GameStore, max_width: int = 8) -> VerifyResult:
-    """Snakes in 2xn: ell <= 2, t <= 3, and the K=2 witness holds."""
+def verify_snakes(store: GameStore) -> VerifyResult:
+    """Snakes in 2x8: ell <= 2, t <= 3, and the K=2 witness holds."""
     res = VerifyResult("snakes")
-    count = 0
-    max_ell = ZERO
-    max_t = Dyadic(-1)
-    witness_ok = True
-    for board in snake_enumerate(max_width):
-        count += 1
-        g = dom_game(board, store)
-        max_ell = max(max_ell, ell(g))
-        max_t = max(max_t, temperature(g))
-        if not confusion_witness(g, 2, store.up).holds:
-            witness_ok = False
-    res.add(f"scanned snakes fitting 2x{max_width}", count > 0, f"{count} boards")
-    res.add("ell <= 2 for every snake", max_ell <= Dyadic(2), f"max ell {max_ell}")
-    res.add("t <= 3 for every snake", max_t <= Dyadic(3), f"max t {max_t}")
-    res.add("witness K=2, eps=^ holds for every snake", witness_ok)
+    games = [dom_game(board, store) for board in snake_enumerate(8)]
+    scan = class_scan(games, "snakes fitting 2x8")  # raises on an empty class
+    k, t = scan.max_ell, scan.max_observed_temp
+    res.add("scanned snakes fitting 2x8", True, f"{scan.positions_scanned} boards")
+    res.add("ell <= 2 for every snake", k <= Dyadic(2), f"max ell {k}")
+    res.add("t <= 3 for every snake", t <= Dyadic(3), f"max t {t}")
+    res.add(
+        "witness K=2, eps=^ holds for every snake",
+        all(confusion_witness(g, 2, store.up).holds for g in games),
+    )
     return res
 
 
@@ -111,12 +106,12 @@ _PROPERTIES = (
 )
 
 
-def verify_properties(store: GameStore, count: int = 300, seed: int = 2024) -> VerifyResult:
+def verify_properties(store: GameStore) -> VerifyResult:
     """Random-game invariant battery (stop/order/temperature laws)."""
-    rng = random.Random(seed)
+    rng = random.Random(2024)
     res = VerifyResult("properties")
     bad = {label: 0 for label, _ in _PROPERTIES}
-    for _ in range(count):
+    for _ in range(300):
         g = random_game(rng, store)
         h = random_game(rng, store)
         s = g + h
@@ -124,7 +119,7 @@ def verify_properties(store: GameStore, count: int = 300, seed: int = 2024) -> V
             if not holds(g, h, s):
                 bad[label] += 1
     for label, n in bad.items():
-        res.add(f"{label} on {count} random pairs", n == 0, f"{n} violations")
+        res.add(f"{label} on 300 random pairs", n == 0, f"{n} violations")
     return res
 
 

@@ -130,6 +130,7 @@ def test_thermo_svg_output():
     assert code == 0
     assert out.startswith("<svg") and "polyline" in out
     assert "t=3/2" in out
+    assert '<text x="48" y="20" font-size="13" font-family="monospace">{5|2}</text>' in out
 
 
 def test_thermo_json_breakpoints():
@@ -254,6 +255,37 @@ def test_verify_exit_codes():
     assert json.loads(out)[0]["passed"] is True
 
 
+VERIFY_ALL_TEXT = """\
+suite properties: PASS
+  [ok ] LS >= RS on 300 random pairs  0 violations
+  [ok ] LS(-G) = -RS(G) on 300 random pairs  0 violations
+  [ok ] o(G - G) = P on 300 random pairs  0 violations
+  [ok ] RS(G)+LS(H) <= LS(G+H) on 300 random pairs  0 violations
+  [ok ] LS(G+H) <= LS(G)+LS(H) on 300 random pairs  0 violations
+  [ok ] ell(G+H) <= ell(G)+ell(H) on 300 random pairs  0 violations
+  [ok ] t(G+H) <= max(t(G),t(H)) on 300 random pairs  0 violations
+  [ok ] eq(G,H) iff canonical ids equal on 300 random pairs  0 violations
+suite snakes: PASS
+  [ok ] scanned snakes fitting 2x8  85 boards
+  [ok ] ell <= 2 for every snake  max ell 1
+  [ok ] t <= 3 for every snake  max t 1/2
+  [ok ] witness K=2, eps=^ holds for every snake
+suite tightness: PASS
+  [ok ] t(G_0) = 6  got 6
+  [ok ] t(G_1) = 15/2  got 15/2
+  [ok ] t(G_2) = 33/4  got 33/4
+  [ok ] t(G_3) = 69/8  got 69/8
+  [ok ] t(G_4) = 141/16  got 141/16
+  [ok ] t(G_5) = 285/32  got 285/32
+  [ok ] t(G_6) = 573/64  got 573/64
+"""
+
+
+def test_verify_all_full_text():
+    # every line, info strings included, of the three suites
+    assert run_cli("verify", "all") == (0, VERIFY_ALL_TEXT)
+
+
 def test_verify_unknown_suite_exit_2(capsys):
     assert main(["verify", "bogus"]) == 2
 
@@ -321,11 +353,7 @@ def test_bad_flag_values_exit_2(argv, capsys):
 
 
 def test_console_script_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hotgames", "eval", "*"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _hotgames("eval", "*")
     assert proc.returncode == 0
     assert "outcome      N" in proc.stdout
 

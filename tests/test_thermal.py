@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hotgames import (
@@ -20,7 +22,7 @@ from hotgames import (
     thermograph,
     wall_decomposition,
 )
-from hotgames.sampling import random_game, random_hot_game
+from hotgames.sampling import random_dyadic, random_game, random_hot_game
 
 D = Dyadic
 
@@ -202,6 +204,17 @@ def test_thermic_versions_requires_hot(store):
         thermic_versions(store.number(3))
     with pytest.raises(NotHotError):
         thermic_versions(store.star)
+
+
+def test_sampling_draws_are_fixed_by_the_seed(store):
+    rng = random.Random(7)
+    assert [str(random_dyadic(rng)) for _ in range(6)] == [
+        "-7/2", "-13/2", "-5", "-13/2", "-5/4", "-6"
+    ]
+    rng = random.Random(7)
+    assert [format_game(random_hot_game(rng, store)) for _ in range(3)] == [
+        "{4|0}", "{5|-1}", "{{9|{7|7/2}}|2}"
+    ]
 
 
 def test_thermic_versions_nonempty_on_random_hot(store, rng):
