@@ -60,7 +60,6 @@ from .thermal import (
     infinitesimally_close,
     is_hot,
     left_stop,
-    mean,
     right_stop,
     stops,
     temp_mean,

@@ -29,17 +29,6 @@ class WitnessReport:
     holds: bool
     failing_option: Game | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "subject": str(self.subject),
-            "k": str(self.k),
-            "epsilon": str(self.epsilon),
-            "holds": self.holds,
-            "failing_option": None
-            if self.failing_option is None
-            else str(self.failing_option),
-        }
-
 
 def confusion_witness(g: Game, k, eps: Game | None = None) -> WitnessReport:
     """Check Right wins G^L - G - k + eps with Left moving first, for

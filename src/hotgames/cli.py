@@ -324,10 +324,9 @@ def main(argv=None) -> int:
     except (NodeBudgetError, TimeBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
     except (CgtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def entry() -> int:
-    return main()

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import re
 
-_FRACTION_RE = re.compile(r"([+-]?\d+)/(\d+)\Z")
-_DECIMAL_RE = re.compile(r"([+-]?\d+)\.(\d+)\Z")
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+# ASCII digits only: a Unicode \d would also read "٣" or "３" as 3
+_FRACTION_RE = re.compile(r"([+-]?\d+)/(\d+)\Z", re.ASCII)
+_DECIMAL_RE = re.compile(r"([+-]?\d+)\.(\d+)\Z", re.ASCII)
+_INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
 
 
 class Dyadic:

@@ -10,59 +10,64 @@ Grammar (whitespace-insensitive, UTF-8):
 
 "*" (or "∗") is {0|0}, "^" (or "↑") is {0|*}, "v" (or "↓") is its
 negative, and "±G" (ASCII spelling "+-", only in term position)
-abbreviates the switch {G | -G}. Numeric literals must be dyadic:
-"1/3" or "0.1" are rejected. Terms nest at most MAX_NESTING deep.
+abbreviates the switch {G | -G}. Numeric literals are ASCII digits and
+must be dyadic: "1/3" or "0.1" are rejected. Terms nest at most
+MAX_NESTING deep.
 """
 
 from __future__ import annotations
+
+import re
 
 from .dyadic import Dyadic
 from .errors import ParseError
 from .games import Game, GameStore
 
-_NUM_START = set("0123456789")
 MAX_NESTING = 10_000  # deeper terms would exhaust the parser's or game layer's stack
+# an ASCII numeric literal, the switch prefix "+-", any other character, or
+# the empty token at the end; each skips the whitespace before it
+_TOKEN = re.compile(r"\s*([0-9]+(?:[/.][0-9]*)?|\+-|\S|\Z)")
+_NAMED = {"*": "star", "∗": "star", "^": "up", "↑": "up", "v": "down", "↓": "down"}
 
 
 class _Parser:
     def __init__(self, text: str, store: GameStore):
-        self.text = text
+        matches = list(_TOKEN.finditer(text))
+        self.tokens = [m[1] for m in matches]
+        self.offsets = [m.start(1) for m in matches]
         self.store = store
-        self.pos = 0
+        self.i = 0
         self.depth = 0
 
     def fail(self, message: str):
-        raise ParseError(message, self.pos)
+        raise ParseError(message, self.offsets[self.i])
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
+    def take(self, tok: str):
+        if self.tokens[self.i] != tok:
+            self.fail(f"expected {tok!r}")
+        self.i += 1
 
     def parse(self) -> Game:
         g = self.expr()
-        if self.peek():
-            self.fail(f"unexpected trailing input {self.text[self.pos]!r}")
+        if self.tokens[self.i]:
+            self.fail(f"unexpected trailing input {self.tokens[self.i][0]!r}")
         return g
 
     def expr(self) -> Game:
         g = self.term()
         while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
+            tok = self.tokens[self.i]
+            if tok == "+":
+                self.i += 1
                 g = g + self.term()
-            elif c == "-":
-                self.pos += 1
+            elif tok == "-":
+                self.i += 1
                 g = g - self.term()
+            elif tok == "+-":  # "+" then a unary "-": "1+-2" is 1 + (-2)
+                self.i += 1
+                self.depth += 1  # the "-" is a term enclosing the next one
+                g = g + -self.term()
+                self.depth -= 1
             else:
                 return g
 
@@ -70,77 +75,54 @@ class _Parser:
         if self.depth > MAX_NESTING:  # depth counts the enclosing terms
             self.fail("expression nested too deeply")
         self.depth += 1
-        g = self._term()
+        tok = self.tokens[self.i]
+        if tok == "-":
+            self.i += 1
+            g = -self.term()
+        elif tok in ("±", "+-"):  # "+-" in term position is the ASCII switch prefix
+            self.i += 1
+            g = self.store.plus_minus(self.term())
+        else:
+            g = self.atom()
         self.depth -= 1
         return g
 
-    def _term(self) -> Game:
-        c = self.peek()
-        if c == "-":
-            self.pos += 1
-            return -self.term()
-        if c == "±" or self.text.startswith("+-", self.pos):
-            # "+-" in term position is the ASCII switch prefix
-            self.pos += 1 if c == "±" else 2
-            return self.store.plus_minus(self.term())
-        if c == "+":
-            self.fail("unexpected '+'")
-        return self.atom()
-
     def atom(self) -> Game:
-        c = self.peek()
-        if c in ("*", "∗"):
-            self.pos += 1
-            return self.store.star
-        if c in ("^", "↑"):
-            self.pos += 1
-            return self.store.up
-        if c in ("v", "↓"):
-            self.pos += 1
-            return self.store.down
-        if c == "{":
-            self.pos += 1
+        tok = self.tokens[self.i]
+        if tok in _NAMED:
+            self.i += 1
+            return getattr(self.store, _NAMED[tok])
+        if tok == "{":
+            self.i += 1
             left = self.option_list()
             self.take("|")
             right = self.option_list()
             self.take("}")
             return self.store.make(left, right)
-        if c == "(":
-            self.pos += 1
+        if tok == "(":
+            self.i += 1
             g = self.expr()
             self.take(")")
             return g
-        if c in _NUM_START:
-            return self.store.number(self.number())
-        self.fail("expected a game" if not c else f"unexpected {c!r}")
+        if not tok or tok[0] not in "0123456789":
+            self.fail(f"unexpected {tok!r}" if tok else "expected a game")
+        if tok[-1] in "/.":
+            raise ParseError("expected digits", self.offsets[self.i] + len(tok))
+        try:
+            x = Dyadic.parse(tok)
+        except ValueError as exc:
+            self.fail(str(exc))
+        self.i += 1
+        return self.store.number(x)
 
     def option_list(self) -> list[Game]:
-        if self.peek() in ("|", "}"):
+        if self.tokens[self.i] in ("|", "}"):
             return []
         opts = [self.expr()]
-        while self.peek() == ",":
-            self.pos += 1
+        while self.tokens[self.i] == ",":
+            self.i += 1
             opts.append(self.expr())
         return opts
-
-    def number(self) -> Dyadic:
-        start = self.pos
-        self.digits()
-        if self.pos < len(self.text) and self.text[self.pos] in "/.":
-            self.pos += 1
-            self.digits()
-        literal = self.text[start : self.pos]
-        try:
-            return Dyadic.parse(literal)
-        except ValueError as exc:
-            self.pos = start
-            self.fail(str(exc))
-
-    def digits(self):
-        if self.pos >= len(self.text) or self.text[self.pos] not in _NUM_START:
-            self.fail("expected digits")
-        while self.pos < len(self.text) and self.text[self.pos] in _NUM_START:
-            self.pos += 1
 
 
 def parse_expr(text: str, store: GameStore) -> Game:

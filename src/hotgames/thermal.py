@@ -141,10 +141,6 @@ def temperature(g: Game) -> Dyadic:
     return thermograph(g).temperature
 
 
-def mean(g: Game) -> Dyadic:
-    return thermograph(g).mast
-
-
 def temp_mean(g: Game) -> tuple[Dyadic, Dyadic]:
     th = thermograph(g)
     return th.temperature, th.mast

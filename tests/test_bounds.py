@@ -53,14 +53,6 @@ def test_witness_negative_k_rejected(store):
         confusion_witness(store.zero, -1)
 
 
-def test_witness_report_json(store):
-    report = confusion_witness(parse_expr("{1|-1}", store), 2, store.up)
-    j = report.to_json_dict()
-    assert j["holds"] is False
-    assert j["k"] == "2"
-    assert j["failing_option"] == "1"
-
-
 def test_minimal_k_switch(store):
     assert minimal_confusion_k(parse_expr("{1|-1}", store), step=1) == 3
 

@@ -27,7 +27,7 @@ def test_parse_forms():
     assert Dyadic.parse("-0.5") == Dyadic(-1, 1)
 
 
-@pytest.mark.parametrize("bad", ["1/3", "0.1", "2/6", "x", "1/0", "1/-2"])
+@pytest.mark.parametrize("bad", ["1/3", "0.1", "2/6", "x", "1/0", "1/-2", "３/４", "٣"])
 def test_parse_rejects_non_dyadic(bad):
     with pytest.raises(ValueError):
         Dyadic.parse(bad)

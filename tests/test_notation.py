@@ -86,3 +86,41 @@ def test_round_trip_canonical_random(store, rng):
     for _ in range(500):
         c = random_game(rng, store).canonical()
         assert parse_expr(format_game(c), store) == c
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1/", (2, "expected digits")),
+        ("1.", (2, "expected digits")),
+        ("1/3", (0, "denominator is not a power of two: '1/3'")),
+        ("{1|", (3, "expected a game")),
+        ("1 2", (2, "unexpected trailing input '2'")),
+        ("+ 1", (0, "unexpected '+'")),
+        ("1+-2", "-1"),  # '+' then unary '-'
+        ("1+ -2", "-1"),
+        ("1 +- 2", "-1"),
+        ("1+(+-2)", "{3|-1}"),
+        ("٣", (0, "unexpected '٣'")),  # an Arabic-Indic digit is not a numeric literal
+        (" {5|2}", "{5|2}"),
+        pytest.param(
+            "1" * 5000,
+            (
+                0,
+                "Exceeds the limit (4300 digits) for integer string conversion: "
+                "value has 5000 digits; use sys.set_int_max_str_digits() "
+                "to increase the limit",
+            ),
+            id="5000-digit literal",
+        ),
+    ],
+)
+def test_parse_result_or_error_offset(store, text, expected):
+    if isinstance(expected, str):
+        assert format_game(parse_expr(text, store)) == expected
+        return
+    offset, message = expected
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, store)
+    assert err.value.position == offset
+    assert str(err.value) == f"syntax error at offset {offset}: {message}"

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -358,7 +359,9 @@ def test_console_script_installed():
     assert "outcome      N" in proc.stdout
 
 
-def _hotgames(*argv, python_flags=(), stdout=subprocess.PIPE, timeout=120, **env):
+def _hotgames(
+    *argv, python_flags=(), stdout=subprocess.PIPE, timeout=120, preexec_fn=None, **env
+):
     import hotgames
 
     pythonpath = str(Path(hotgames.__file__).parents[1])
@@ -370,7 +373,31 @@ def _hotgames(*argv, python_flags=(), stdout=subprocess.PIPE, timeout=120, **env
         text=True,
         env=env,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
+
+
+def _limit_address_space():
+    limit = 3 << 29  # 1.5 GiB
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_out_of_memory_exit_3():
+    # the vertex count alone asks for a 2.4 GB tint list
+    argv = ["board", "snort", "--text", "300000000"]
+    proc = _hotgames(*argv, preexec_fn=_limit_address_space)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
+    proc = _hotgames("eval", "{5|2}", preexec_fn=_limit_address_space)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "canonical    {5|2}\n" in proc.stdout
+
+
+def test_step_with_non_ascii_digit_exit_2(capsys):
+    code, out = run_cli("scan", "integers", "--step", "٣")
+    assert code == 2 and out == ""
+    assert "invalid dyadic value: '٣'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

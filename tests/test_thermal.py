@@ -12,7 +12,6 @@ from hotgames import (
     format_game,
     infinitesimally_close,
     is_hot,
-    mean,
     parse_expr,
     stops,
     temp_mean,
@@ -289,4 +288,4 @@ def test_hot_iff_positive_temperature(store, rng):
         ls, rs = stops(g)
         if ls == rs:
             assert temperature(g) <= 0
-    assert mean(parse_expr("{5|2}", store)) == D(7, 1)
+    assert temp_mean(parse_expr("{5|2}", store)) == (D(3, 1), D(7, 1))
