@@ -19,8 +19,6 @@ from .bounds import (
 from .domineering import (
     DomBoard,
     dom_game,
-    dom_parse,
-    dom_print,
     drummond_cole_board,
     fold,
     grid,
@@ -48,7 +46,6 @@ from .snort import (
     graph_enumerate,
     snort_game,
     snort_grid,
-    snort_parse,
     snort_path,
     snort_star,
 )

@@ -44,6 +44,8 @@ EXIT_BUDGET = 3
 
 # board ruleset -> (board type with a text parser, its value function)
 RULESETS = {"domineering": (DomBoard, dom_game), "snort": (SnortBoard, snort_game)}
+# scan subject -> default --max-n
+SCAN_SIZES = {"snakes": 8, "snortpaths": 8, "integers": 3, "graphs": 6}
 
 
 def _positive(convert):
@@ -103,9 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(run=cmd_verify)
 
     ps = sub.add_parser("scan", help="confusion-interval class scans")
-    ps.add_argument(
-        "which", choices=("snakes", "snortpaths", "integers", "graphs")
-    )
+    ps.add_argument("which", choices=SCAN_SIZES)
     ps.add_argument("--max-n", type=positive_int)
     ps.add_argument("--epsilon", choices=("up", "star", "zero"), default="up")
     ps.add_argument(
@@ -202,41 +202,72 @@ def cmd_verify(args, store: GameStore) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
-def _scan_positions(which: str, max_n: int | None, store: GameStore):
-    """Class label and (position label, game) pairs of a scanned class."""
-    n = 8 if max_n is None else max_n
+def _scan_positions(which: str, n: int, store: GameStore):
+    """Class label and (position label, game, board) triples of a scanned
+    class. The board, kept for graphs and None otherwise, feeds the degree
+    findings."""
     if which == "snakes":
-        return (
-            f"domineering snakes fitting 2x{n}",
-            [
-                (b.format().replace("\n", "/"), dom_game(b, store))
-                for b in snake_enumerate(n)
-            ],
-        )
+        return f"domineering snakes fitting 2x{n}", [
+            (b.format().replace("\n", "/"), dom_game(b, store), None)
+            for b in snake_enumerate(n)
+        ]
     if which == "snortpaths":
-        positions = []
-        for family in SNORT_PATH_REFERENCE:
-            for i in range(1, n + 1):
-                b = snort_path_board(family, i)
-                if b is not None:
-                    positions.append((f"{family} {i}", snort_game(b, store)))
-        return f"snort decorated paths, n <= {n}", positions
+        paths = [
+            (f"{family} {i}", snort_path_board(family, i))
+            for family in SNORT_PATH_REFERENCE
+            for i in range(1, n + 1)
+        ]
+        return f"snort decorated paths, n <= {n}", [
+            (name, snort_game(b, store), None) for name, b in paths if b is not None
+        ]
     if which == "integers":
-        return "integers -3..3", [(str(i), store.number(i)) for i in range(-3, 4)]
-    raise AssertionError(which)
+        return f"integers -{n}..{n}", [
+            (str(i), store.number(i), None) for i in range(-n, n + 1)
+        ]
+    return f"connected graphs <= {n} vertices", [
+        (b.format().replace("\n", "; "), snort_game(b, store), b)
+        for b in graph_enumerate(n)
+    ]
+
+
+def _degree_findings(label: str, boards) -> tuple[dict, list[str]]:
+    """JSON fields and text lines of the degree-conjecture scan: is t(G) <=
+    max degree? Counterexamples are findings, not failures."""
+    hottest = {}
+    findings = []
+    for g, board in boards:
+        t = temperature(g)
+        d = board.degree()
+        hottest[d] = max(t, hottest.get(d, t))
+        if not t <= Dyadic(d):
+            findings.append({"board": board.format(), "temperature": str(t), "degree": d})
+    by_degree = {str(d): str(hottest[d]) for d in sorted(hottest)}
+    lines = [f"max degree {d}     hottest temperature {t}" for d, t in by_degree.items()]
+    verdict = f"{len(findings)} (conjecture fails)" if findings else "none"
+    lines.append(f"counterexamples  {verdict}")
+    for f in findings:
+        lines.append(f"  t={f['temperature']} > degree {f['degree']}:")
+        lines.append("    " + f["board"].replace("\n", "; "))
+    return {
+        "scan": f"snort temperature vs board degree, {label}",
+        "graphs_scanned": len(boards),
+        "hottest_by_degree": by_degree,
+        "counterexamples": findings,
+    }, lines
 
 
 def cmd_scan(args, store: GameStore) -> int:
-    if args.which == "graphs":
-        return _cmd_scan_graphs(args, store)
-    label, positions = _scan_positions(args.which, args.max_n, store)
-    report = class_scan((g for _, g in positions), label)
+    n = SCAN_SIZES[args.which] if args.max_n is None else args.max_n
+    label, positions = _scan_positions(args.which, n, store)
+    report = class_scan((g for _, g, _ in positions), label)
     eps = {"up": store.up, "star": store.star, "zero": store.zero}[args.epsilon]
     step = args.step
     witness_ks = [
-        (name, minimal_confusion_k(g, step=step, eps=eps)) for name, g in positions
+        (name, minimal_confusion_k(g, step=step, eps=eps)) for name, g, _ in positions
     ]
     witness_k = max(k for _, k in witness_ks)  # class_scan rejects an empty class
+    boards = [(g, b) for _, g, b in positions if b is not None]
+    degree, degree_lines = _degree_findings(label, boards) if boards else ({}, [])
     payload = report.to_json_dict()
     payload["max_minimal_witness_k"] = str(witness_k)
     payload["witness_epsilon"] = args.epsilon
@@ -244,6 +275,7 @@ def cmd_scan(args, store: GameStore) -> int:
     payload["positions"] = [
         {"position": name, "minimal_witness_k": str(k)} for name, k in witness_ks
     ]
+    payload.update(degree)
 
     def text():
         lines = [
@@ -254,50 +286,11 @@ def cmd_scan(args, store: GameStore) -> int:
             f"bound K/2 + J    {report.bp_bound}",
             f"max temperature  {report.max_observed_temp}",
             f"witness K (max)  {witness_k}  [step {step}, epsilon {args.epsilon}]",
+            *degree_lines,
             "minimal witness K per position:",
         ]
         width = max(len(name) for name, _ in witness_ks)
         lines += [f"  {name:{width}}  {k}" for name, k in witness_ks]
-        return "\n".join(lines)
-
-    _emit(payload, args.format, text)
-    return EXIT_OK
-
-
-def _cmd_scan_graphs(args, store: GameStore) -> int:
-    """Degree-conjecture scan: is t(G) <= max degree on every connected
-    graph? Counterexamples are findings, not failures."""
-    n = 6 if args.max_n is None else args.max_n
-    scanned = 0
-    hottest = {}
-    findings = []
-    for board in graph_enumerate(n):
-        scanned += 1
-        t = temperature(snort_game(board, store))
-        d = board.degree()
-        hottest[d] = max(t, hottest.get(d, t))
-        if not t <= Dyadic(d):
-            findings.append({"board": board.format(), "temperature": str(t), "degree": d})
-    payload = {
-        "scan": f"snort temperature vs board degree, connected graphs <= {n} vertices",
-        "graphs_scanned": scanned,
-        "hottest_by_degree": {str(d): str(hottest[d]) for d in sorted(hottest)},
-        "counterexamples": findings,
-    }
-
-    def text():
-        lines = [payload["scan"], f"graphs scanned   {scanned}"]
-        lines += [
-            f"max degree {d}     hottest temperature {t}"
-            for d, t in payload["hottest_by_degree"].items()
-        ]
-        if findings:
-            lines.append(f"counterexamples  {len(findings)} (conjecture fails)")
-            for f in findings:
-                lines.append(f"  t={f['temperature']} > degree {f['degree']}:")
-                lines.append("    " + f["board"].replace("\n", "; "))
-        else:
-            lines.append("counterexamples  none")
         return "\n".join(lines)
 
     _emit(payload, args.format, text)

@@ -103,14 +103,6 @@ def grid(rows: int, cols: int) -> DomBoard:
     return DomBoard((x, y) for x in range(cols) for y in range(rows))
 
 
-def dom_parse(text: str) -> DomBoard:
-    return DomBoard.parse(text)
-
-
-def dom_print(board: DomBoard) -> str:
-    return board.format()
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 

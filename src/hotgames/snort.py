@@ -73,12 +73,10 @@ class SnortBoard:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty snort board text")
-        try:
-            n = int(lines[0])
-        except ValueError:
-            raise ParseError(f"expected a vertex count, got {lines[0]!r}") from None
-        if n < 0:
-            raise ParseError(f"negative vertex count {n}")
+        # ASCII digits only: int() alone also takes "+2", "1_0" and "٣"
+        if not (lines[0].isascii() and lines[0].isdigit()):
+            raise ParseError(f"expected a vertex count, got {lines[0]!r}")
+        n = int(lines[0])
         tints = [Tint.FREE] * n
         edges = set()
         for ln in lines[1:]:
@@ -108,17 +106,12 @@ class SnortBoard:
 
 
 def _vertex(tok: str, n: int) -> int:
-    try:
-        v = int(tok)
-    except ValueError:
-        raise ParseError(f"bad vertex {tok!r}") from None
-    if not 0 <= v < n:
+    if not (tok.isascii() and tok.isdigit()):
+        raise ParseError(f"bad vertex {tok!r}")
+    v = int(tok)
+    if not v < n:
         raise ParseError(f"vertex {v} out of range 0..{n - 1}")
     return v
-
-
-def snort_parse(text: str) -> SnortBoard:
-    return SnortBoard.parse(text)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ from hotgames import (
     Outcome,
     ParseError,
     dom_game,
-    dom_parse,
-    dom_print,
     drummond_cole_board,
     fold,
     grid,
@@ -32,22 +30,22 @@ D = Dyadic
 
 
 def test_parse_examples():
-    assert len(dom_parse("##\n##").cells) == 4
-    assert len(dom_parse("#").cells) == 1
-    assert dom_parse("#.\n##").cells == frozenset({(0, 0), (0, 1), (1, 1)})
+    assert len(DomBoard.parse("##\n##").cells) == 4
+    assert len(DomBoard.parse("#").cells) == 1
+    assert DomBoard.parse("#.\n##").cells == frozenset({(0, 0), (0, 1), (1, 1)})
 
 
 def test_parse_errors():
     with pytest.raises(ParseError):
-        dom_parse("...\n...")
+        DomBoard.parse("...\n...")
     with pytest.raises(ParseError):
-        dom_parse("#x#")
+        DomBoard.parse("#x#")
 
 
 def test_print_round_trip():
     for text in ("##\n##", "#.\n##", "#####", "#\n#\n#"):
-        board = dom_parse(text)
-        assert dom_parse(dom_print(board)) == board
+        board = DomBoard.parse(text)
+        assert DomBoard.parse(board.format()) == board
 
 
 def test_translation_normalized():
@@ -60,11 +58,11 @@ def test_translation_normalized():
 
 
 def test_single_cell_is_zero(store):
-    assert dom_game(dom_parse("#"), store) == store.zero
+    assert dom_game(DomBoard.parse("#"), store) == store.zero
 
 
 def test_vertical_domino_space_is_one(store):
-    assert dom_game(dom_parse("#\n#"), store) == store.number(1)
+    assert dom_game(DomBoard.parse("#\n#"), store) == store.number(1)
 
 
 def test_2x2_grid_first_player_wins(store):
@@ -75,7 +73,7 @@ def test_2x2_grid_first_player_wins(store):
 
 def test_l_board_right_wins(store):
     # bottom row of three cells plus one cell atop the left end
-    board = dom_parse("#..\n###")
+    board = DomBoard.parse("#..\n###")
     g = dom_game(board, store)
     assert g.outcome() == Outcome.R
     assert g.eq(store.number(D(-1, 1)))
@@ -83,18 +81,18 @@ def test_l_board_right_wins(store):
 
 def test_tall_l_board_left_wins(store):
     # the 90-degree rotation: column of three plus a top-right cell
-    g = dom_game(dom_parse("##\n#.\n#."), store)
+    g = dom_game(DomBoard.parse("##\n#.\n#."), store)
     assert g.outcome() == Outcome.L
 
 
 def test_rotation_negates(store, rng):
-    boards = [grid(2, 3), dom_parse("#..\n###"), dom_parse("##.\n.##")]
+    boards = [grid(2, 3), DomBoard.parse("#..\n###"), DomBoard.parse("##.\n.##")]
     for b in boards:
         assert dom_game(b.rotate90(), store).eq(-dom_game(b, store))
 
 
 def test_reflection_preserves(store):
-    for b in (grid(2, 3), dom_parse("#..\n###")):
+    for b in (grid(2, 3), DomBoard.parse("#..\n###")):
         assert dom_game(b.reflect_h(), store) == dom_game(b, store)
         assert dom_game(b.reflect_v(), store) == dom_game(b, store)
 
@@ -115,9 +113,9 @@ def test_component_split_soundness(store, rng):
 def test_guard_column_keeps_rows_apart(store):
     # without the spare column, cells (3,0) and (0,1) would sit on adjacent
     # bits and Right could play a domino across them
-    assert dom_game(dom_parse("..##\n##.."), store) == store.number(-2)
+    assert dom_game(DomBoard.parse("..##\n##.."), store) == store.number(-2)
     # here that crossing would be Right's only move, turning 0 into -1
-    assert dom_game(dom_parse("..#\n#.."), store) == store.zero
+    assert dom_game(DomBoard.parse("..#\n#.."), store) == store.zero
 
 
 def _polyominoes(max_cells):
@@ -275,8 +273,8 @@ def test_snake_moves_split_into_smaller_snakes(store):
 
 
 def test_non_snakes_rejected():
-    assert not is_snake(dom_parse("##\n##"))  # 2x2 block
-    assert not is_snake(dom_parse("###\n.#."))  # branching
+    assert not is_snake(DomBoard.parse("##\n##"))  # 2x2 block
+    assert not is_snake(DomBoard.parse("###\n.#."))  # branching
     assert not is_snake(DomBoard([(0, 0), (1, 0), (1, 1), (1, 2), (0, 2)]))  # turns back
 
 

@@ -12,7 +12,6 @@ from hotgames import (
     graph_enumerate,
     snort_game,
     snort_grid,
-    snort_parse,
     snort_path,
     snort_star,
     temperature,
@@ -54,19 +53,22 @@ def tinted_graphs(rng, tintings=1):
 
 def test_parse_and_format():
     text = "4\n0 1\n1 2\n2 3\nL: 0\nR: 3"
-    board = snort_parse(text)
+    board = SnortBoard.parse(text)
     assert board.n == 4
     assert board.tints == (Tint.LEFT, Tint.FREE, Tint.FREE, Tint.RIGHT)
-    assert snort_parse(board.format()) == board
+    assert SnortBoard.parse(board.format()) == board
 
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "x", "2\n0 0", "2\n0 5", "3\n0 1 2", "2\nL: 9"],
+    [
+        "", "x", "2\n0 0", "2\n0 5", "3\n0 1 2", "2\nL: 9",
+        "٣", "3\n٠ ١", "11\n0 1_0", "+2\n0 1",
+    ],
 )
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
-        snort_parse(bad)
+        SnortBoard.parse(bad)
 
 
 def test_path_constructors():

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotgames import Dyadic, GameStore, parse_expr
+from hotgames import Dyadic, GameStore, SnortBoard, parse_expr, snort_game
 from hotgames.budget import Deadline
-from hotgames.cli import main
+from hotgames.cli import _degree_findings, main
 from hotgames.tables import (
     dom_2xn_reference,
     domineering_2xn_table,
@@ -296,6 +296,11 @@ def test_scan_integers():
     assert code == 0
     payload = json.loads(out)
     assert payload["bp_bound"] == "0"
+    code, out = run_cli("scan", "integers", "--max-n", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["positions_scanned"] == 3
+    assert payload["class"] == "integers -1..1"
 
 
 def test_scan_graphs_findings():
@@ -305,6 +310,36 @@ def test_scan_graphs_findings():
     assert payload["graphs_scanned"] == 10
     assert payload["hottest_by_degree"] == {"0": "0", "1": "1", "2": "2", "3": "3"}
     assert payload["counterexamples"] == []
+    # the class-scan fields every subject reports
+    assert payload["positions_scanned"] == 10
+    assert (
+        payload["max_ell"],
+        payload["max_ell_options"],
+        payload["bp_bound"],
+        payload["max_observed_temp"],
+    ) == ("6", "1", "4", "3")
+    ks = [p["minimal_witness_k"] for p in payload["positions"]]
+    assert len(ks) == 10
+    assert payload["max_minimal_witness_k"] == max(ks, key=D.parse)
+    code, text = run_cli("scan", "graphs", "--max-n", "4")
+    assert code == 0
+    per_position = text.split("minimal witness K per position:\n")[1]
+    assert [line.split()[-1] for line in per_position.splitlines()] == ks
+
+
+def test_degree_findings_report_the_double_star(store):
+    # S(3,3) has t = 9/2 against a maximum degree of 4
+    board = SnortBoard.parse("8\n0 1\n0 2\n0 3\n0 4\n4 5\n4 6\n4 7")
+    fields, lines = _degree_findings("S(3,3)", [(snort_game(board, store), board)])
+    assert fields["counterexamples"] == [
+        {"board": board.format(), "temperature": "9/2", "degree": 4}
+    ]
+    assert lines == [
+        "max degree 4     hottest temperature 9/2",
+        "counterexamples  1 (conjecture fails)",
+        "  t=9/2 > degree 4:",
+        "    8; 0 1; 0 2; 0 3; 0 4; 4 5; 4 6; 4 7",
+    ]
 
 
 def test_scan_graphs_past_the_cap_exit_2(capsys):
