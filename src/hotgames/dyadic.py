@@ -117,11 +117,6 @@ class Dyadic:
 
     # -- order ------------------------------------------------------------
 
-    def _diff_sign(self, o: "Dyadic") -> int:
-        e = max(self.exp, o.exp)
-        d = (self.num << (e - self.exp)) - (o.num << (e - o.exp))
-        return (d > 0) - (d < 0)
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -129,28 +124,30 @@ class Dyadic:
         return self.num == o.num and self.exp == o.exp
 
     def __lt__(self, other):
-        o = self._coerce(other)
+        # a / 2^e < b / 2^f exactly when a * 2^f < b * 2^e; Dyadic operands
+        # skip the coercion call: stops comparisons are a hot path of `_leq`
+        o = other if other.__class__ is Dyadic else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._diff_sign(o) < 0
+        return self.num << o.exp < o.num << self.exp
 
     def __le__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is Dyadic else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._diff_sign(o) <= 0
+        return self.num << o.exp <= o.num << self.exp
 
     def __gt__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is Dyadic else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._diff_sign(o) > 0
+        return self.num << o.exp > o.num << self.exp
 
     def __ge__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is Dyadic else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._diff_sign(o) >= 0
+        return self.num << o.exp >= o.num << self.exp
 
     def __hash__(self):
         # integer-valued dyadics normalize to exp == 0, so hashing them

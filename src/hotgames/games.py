@@ -4,7 +4,8 @@ A `GameStore` interns every position as an immutable node identified by a
 small integer id; equal (leftOptions, rightOptions) pairs always map to
 the same id, so node equality is id equality and the reachable game graph
 is a shared DAG. All semantic queries (outcome, order, canonical form)
-are memoized per store.
+are memoized per store, except order questions that the stops of two
+canonical nodes settle: every canonical node carries its stops.
 
 Board values come from one evaluator, `evaluate`: it takes a board's
 parts, memoizes each part's canonical value under a ruleset's symmetry
@@ -147,7 +148,9 @@ class GameStore:
     racing writers can only ever store identical values. The one exception
     is `_memo_add`: which sum node a pair gets depends on which operands are
     already known to be canonical, so racing writers store equal values,
-    not always the same node.
+    not always the same node. A node is marked canonical in three writes:
+    its `_stops` entry, then its `_memo_number` entry, then the canonical
+    mark in `_memo_canonical`, so a thread that sees the mark sees both.
 
     Both budgets, `max_nodes` and the wall-clock `deadline`, are checked
     whenever a new node is allocated, so any computation that grows the
@@ -167,6 +170,7 @@ class GameStore:
         self._memo_leq: dict[tuple[int, int], bool] = {}
         self._memo_canonical: dict[int, int] = {}
         self._memo_number: dict[int, Dyadic | None] = {}
+        self._stops: dict[int, tuple[Dyadic, Dyadic]] = {}  # canonical nodes only
         self._numbers: dict[Dyadic, int] = {}
         self._int_ends = {1: 0, -1: 0}  # the interned integers run between these
         self._caches: dict[str, dict] = {}
@@ -230,10 +234,12 @@ class GameStore:
 
     def _negate(self, i: int) -> int:
         memo = self._memo_negate
+        canon = self._memo_canonical
+        canonical = canon.get(i) == i
         got = memo.get(i)
-        if got is not None:
+        # a negative found before i was marked canonical is marked below
+        if got is not None and (not canonical or canon.get(got) == got):
             return got
-        canonical = self._memo_canonical.get(i) == i
         x = self._memo_number.get(i)
         if x is not None:
             res = self._number(-x)
@@ -243,7 +249,8 @@ class GameStore:
                 [self._negate(l) for l in self._left[i]],
             )
             if canonical:
-                # the negative of a canonical non-number is one too
+                # the negative of a canonical non-number is one too, and
+                # its options, negatives of canonical nodes, are marked
                 self._mark_canonical(res, None)
         memo[i] = res
         memo[res] = i
@@ -264,7 +271,7 @@ class GameStore:
             return got
         # literal canonical numbers carry their value in _memo_number, and a
         # canonical non-number carries None there; read the canonical marks
-        # first, since _mark_canonical writes them second (threads)
+        # first, since _mark_canonical writes them last (threads)
         canon = self._memo_canonical
         a_canonical = canon.get(a) == a
         b_canonical = canon.get(b) == b
@@ -347,12 +354,16 @@ class GameStore:
         got = memo.get(key)
         if got is not None:
             return got
-        # two literal canonical numbers compare as dyadics
-        x = self._memo_number.get(a)
-        if x is not None:
-            y = self._memo_number.get(b)
-            if y is not None:
-                return x <= y
+        # stops are order-preserving, and R(b) > L(a) gives a < b (Siegel,
+        # Combinatorial Game Theory, ch. II); such answers are not memoized
+        sa = self._stops.get(a)
+        if sa is not None:
+            sb = self._stops.get(b)
+            if sb is not None:
+                if sa[0] > sb[0] or sa[1] > sb[1]:
+                    return False
+                if sb[1] > sa[0]:
+                    return True
         res = all(not self._leq(b, al) for al in self._left[a]) and all(
             not self._leq(br, a) for br in self._right[b]
         )
@@ -369,7 +380,7 @@ class GameStore:
         got = memo.get(i)
         if got is not None:
             return got
-        # both sides' children first: marking one fills `_memo_number`,
+        # both sides' children first: marking one fills `_stops`,
         # which `_leq` reads while either side is reduced
         left = sorted({self._canonical(l) for l in self._left[i]})
         right = sorted({self._canonical(r) for r in self._right[i]})
@@ -402,10 +413,20 @@ class GameStore:
 
     def _mark_canonical(self, i: int, x: Dyadic | None) -> None:
         """Record that node i is a canonical form with number value x (None
-        for a non-number). Every node fixed by `_memo_canonical` has its
-        `_memo_number` entry, so after the canonical check one lookup tells
-        a number from a non-number. The number entry is written first, so a
-        thread that reads the canonical mark before it sees both."""
+        for a non-number), and its stops: (x, x) for a number, else
+        (max R(G^L), min L(G^R)) from its options, which are canonical and
+        marked. Every node fixed by `_memo_canonical` has its `_stops` and
+        `_memo_number` entries, so after the canonical check one lookup
+        tells a number from a non-number; both are written before the mark
+        (see the class docstring)."""
+        if x is not None:
+            self._stops[i] = (x, x)
+        else:
+            st = self._stops
+            self._stops[i] = (
+                max(st[l][1] for l in self._left[i]),
+                min(st[r][0] for r in self._right[i]),
+            )
         self._memo_number[i] = x
         self._memo_canonical[i] = i
 

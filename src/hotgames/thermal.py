@@ -22,25 +22,10 @@ from .piecewise import Point, Trajectory, _segment_slope, merge_max, merge_min, 
 
 
 def stops(g: Game) -> tuple[Dyadic, Dyadic]:
-    """(left stop, right stop), computed on the canonical form."""
+    """(left stop, right stop) of the canonical form, which the store
+    records when it marks a node canonical."""
     store = g.store
-    memo = store.cache("stops")
-
-    def rec(ci: int) -> tuple[Dyadic, Dyadic]:
-        got = memo.get(ci)
-        if got is not None:
-            return got
-        x = store._number_value(ci)
-        if x is not None:
-            res = (x, x)
-        else:
-            ls = max(rec(l)[1] for l in store._left[ci])
-            rs = min(rec(r)[0] for r in store._right[ci])
-            res = (ls, rs)
-        memo[ci] = res
-        return res
-
-    return rec(store._canonical(g.id))
+    return store._stops[store._canonical(g.id)]
 
 
 def left_stop(g: Game) -> Dyadic:

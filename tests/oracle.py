@@ -1,10 +1,11 @@
 """Definition-level oracles for the game layer's fast paths.
 
 The store adds literal numbers as numbers, builds a canonical non-number
-plus a number by number translation, compares two numbers as dyadics,
-builds integers iteratively, and the board evaluators memoize canonical
-forms. The code here keeps the plain recursions from the definitions,
-with memo tables of its own, so the tests can compare the two. Nodes are
+plus a number by number translation, records each canonical node's stops
+when it marks the node and answers order questions from them, builds
+integers iteratively, and the board evaluators memoize canonical forms.
+The code here keeps the plain recursions from the definitions, with memo
+tables of its own, so the tests can compare the two. Nodes are
 interned in the store under test, so results compare by id. The minimal
 witness constant, which the engine bisects for inside a stop bracket, is
 here the plain scan up the grid, and the graph census, which the engine
@@ -82,6 +83,30 @@ class RawOracle:
 
     def eq(self, a: int, b: int) -> bool:
         return self.leq(a, b) and self.leq(b, a)
+
+
+def raw_stops(store: GameStore, i: int) -> tuple[Dyadic, Dyadic]:
+    """(left stop, right stop) of node i, by recursion over its canonical
+    form: a number x has (x, x); otherwise the left stop is the largest
+    right stop of a Left option and the right stop the least left stop of
+    a Right option."""
+    memo: dict[int, tuple[Dyadic, Dyadic]] = {}
+
+    def rec(ci: int) -> tuple[Dyadic, Dyadic]:
+        got = memo.get(ci)
+        if got is not None:
+            return got
+        x = store._number_value(ci)
+        if x is not None:
+            res = (x, x)
+        else:
+            ls = max(rec(l)[1] for l in store._left[ci])
+            rs = min(rec(r)[0] for r in store._right[ci])
+            res = (ls, rs)
+        memo[ci] = res
+        return res
+
+    return rec(store._canonical(i))
 
 
 def number_node(store: GameStore, x: Dyadic) -> int:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -80,6 +82,8 @@ def test_order_total(a, b):
     if a <= b and b <= a:
         assert a == b
     assert (a < b) == (b > a)
+    fa, fb = Fraction(a.num, 2**a.exp), Fraction(b.num, 2**b.exp)
+    assert (a < b, a <= b, a > b, a >= b) == (fa < fb, fa <= fb, fa > fb, fa >= fb)
 
 
 @given(dyadics)

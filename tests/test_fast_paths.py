@@ -1,7 +1,8 @@
 """The game layer's fast paths against the definition-level recursions in
 `oracle.py`: number + number, number translation and the general sum,
-the order shortcut on two numbers, iterative integer construction, and
-the board evaluators' canonical memos."""
+the stops each canonical node carries and the order questions they
+settle, iterative integer construction, and the board evaluators'
+canonical memos."""
 
 import random
 from collections import Counter
@@ -9,10 +10,11 @@ from collections import Counter
 from hotgames import Dyadic, Game, GameStore
 from hotgames.domineering import dom_game, grid
 from hotgames.sampling import random_dyadic, random_game
-from hotgames.snort import snort_game
+from hotgames.snort import snort_game, snort_grid
 from hotgames.tables import snort_path_board
+from hotgames.thermal import stops
 
-from oracle import RawOracle, number_node, raw_dom_value, raw_snort_value
+from oracle import RawOracle, number_node, raw_dom_value, raw_snort_value, raw_stops
 
 N_PAIRS = 1000
 
@@ -62,18 +64,92 @@ def test_sum_operators_are_canonical_and_exact():
         assert oracle.eq(d.id, oracle.sub(g, h))
 
 
-def test_leq_number_shortcut_matches_raw_order():
+def _stops_branch(store: GameStore, a: int, b: int) -> str:
+    """Which branch of `_leq`'s stops check answers a <= b."""
+    sa, sb = store._stops.get(a), store._stops.get(b)
+    if sa is None or sb is None:
+        return "no stops"
+    if sa[0] > sb[0] or sa[1] > sb[1]:
+        return "False by stops"
+    if sb[1] > sa[0]:
+        return "True by stops"
+    return "fall-through"
+
+
+def test_leq_stops_shortcut_matches_raw_order():
     store = GameStore()
     oracle = RawOracle(store)
     rng = random.Random(99)
-    both_numbers = 0
+    branches = Counter()
     for g, h in _pairs(store, 4048):
         x = store.number(random_dyadic(rng)).id
         for a, b in ((store._canonical(g), h), (x, h), (h, x), (x, store._canonical(g))):
-            if store._number_value(a) is not None and store._number_value(b) is not None:
-                both_numbers += 1
+            branches[_stops_branch(store, a, b)] += 1
             assert store._leq(a, b) == oracle.leq(a, b)
-    assert both_numbers >= 1000
+    # raw nodes carry no stops; numbers and canonical forms do
+    assert min(branches[k] for k in ("no stops", "False by stops", "True by stops")) >= 1000, branches
+    # every ordered pair of canonical values from one board memo
+    store = GameStore()
+    snort_game(snort_grid(2, 5), store)
+    oracle = RawOracle(store)
+    values = sorted(set(store.cache("snort").values()))
+    branches = Counter()
+    for a in values:
+        for b in values:
+            branch = _stops_branch(store, a, b)
+            branches[branch] += 1
+            size = len(store._memo_leq)
+            assert store._leq(a, b) == oracle.leq(a, b), (a, b, branch)
+            if branch.endswith("by stops"):
+                assert len(store._memo_leq) == size
+    assert branches["no stops"] == 0
+    for branch in ("False by stops", "True by stops", "fall-through"):
+        assert branches[branch] >= 100, branches
+
+
+def test_stops_match_raw_recursion():
+    store = GameStore()
+    rng = random.Random(31)
+    games = [random_game(rng, store) for _ in range(300)]
+    canonical = [g.canonical() for g in games]
+    negatives = [-c for c in canonical]
+    sums = [g + h for g, h in zip(games, games[1:])]
+    for g in games + canonical + negatives + sums:
+        assert stops(g) == raw_stops(store, g.id)
+    # _negate marks the negative of a canonical form canonical
+    assert all(store._memo_canonical.get(n.id) == n.id for n in negatives)
+    for evaluator, board, memo in (
+        (snort_game, snort_grid(2, 5), "snort"),
+        (dom_game, grid(2, 8), "domineering"),
+    ):
+        value = evaluator(board, store)
+        for i in [value.id, *store.cache(memo).values()]:
+            assert stops(Game(store, i)) == raw_stops(store, i)
+
+
+def test_negative_found_before_its_node_was_marked_canonical():
+    # -g is interned while g is a raw node; once g is marked canonical,
+    # the negative of a canonical game with g as an option marks -g too
+    store = GameStore()
+    g = store.make([store.number(2)], [store.number(1)])
+    minus_g = -g
+    assert g.canonical() == g and store._memo_canonical.get(minus_g.id) is None
+    h = store.make([g], [store.zero]).canonical()
+    assert stops(-h) == raw_stops(store, (-h).id) == (Dyadic(0), Dyadic(-1))
+    assert store._memo_canonical.get(minus_g.id) == minus_g.id
+
+
+def test_board_node_counts_and_leq_memo():
+    # stops add no node; without the stops shortcut the _leq memo holds
+    # 15,707 and 9,335 entries on these boards
+    for build, nodes, leq_before in (
+        (lambda s: dom_game(grid(2, 12), s), 1604, 15707),
+        (lambda s: snort_game(snort_grid(2, 6), s), 900, 9335),
+    ):
+        store = GameStore()
+        build(store)
+        assert len(store) == nodes
+        assert len(store._memo_leq) < leq_before
 
 
 def test_number_matches_recursive_construction():
