@@ -14,6 +14,15 @@ right)`: `adj[v]` is the neighbour mask of vertex v, and the other three
 are masks of the vertices still on the board and of those tinted LEFT
 and RIGHT. A move only clears and sets bits, so every follower of a part
 shares its `adj` tuple.
+
+An edge is live unless its two ends carry the same tint. An edge between
+two LEFT vertices never takes part in a move: Right may play neither
+end, and Left playing one end leaves the other alive and LEFT. Tints
+never revert, so a dead edge stays dead, and the same holds for two
+RIGHT vertices. A position's value therefore depends only on its live
+tinted graph, and the evaluator splits and keys positions by live edges
+alone. `_moves` still reads every edge: a dead edge there tints and
+removes nothing, and every follower keeps sharing the part's `adj`.
 """
 
 from __future__ import annotations
@@ -213,7 +222,9 @@ def encoded_parts(
 
 
 def _components(position: Position) -> Iterator[Position]:
-    """The connected parts of a position, each grown from its lowest vertex."""
+    """The parts of a position connected by live edges, each grown from
+    its lowest vertex: a LEFT vertex does not step to a LEFT neighbour,
+    nor a RIGHT vertex to a RIGHT one."""
     adj, alive, left, right = position
     todo = alive
     while todo:
@@ -223,6 +234,10 @@ def _components(position: Position) -> Iterator[Position]:
             low = frontier & -frontier
             frontier ^= low
             new = adj[low.bit_length() - 1] & todo
+            if low & left:
+                new &= ~left
+            elif low & right:
+                new &= ~right
             todo ^= new
             comp |= new
             frontier |= new
@@ -275,8 +290,9 @@ def _refine(
 
 
 def canonical_key(position: Position, deadline: Deadline | None = None) -> tuple:
-    """Isomorphism key of a position: equal exactly for positions that are
-    the same tinted graph up to relabelling, for every graph.
+    """Isomorphism key of a position: equal exactly for positions whose
+    live tinted graphs (same-tint edges dropped) are isomorphic, for every
+    graph.
 
     Individualization-refinement (McKay and Piperno, "Practical graph
     isomorphism, II", J. Symbolic Comput. 60, 2014): colours start from
@@ -301,6 +317,10 @@ def canonical_key(position: Position, deadline: Deadline | None = None) -> tuple
     for v in verts:
         ns = []
         todo = adj[v] & alive
+        if left >> v & 1:
+            todo &= ~left
+        elif right >> v & 1:
+            todo &= ~right
         while todo:
             low = todo & -todo
             ns.append(index[low.bit_length() - 1])
@@ -351,9 +371,9 @@ def _twins(nbrs: list[list[int]], u: int, v: int) -> bool:
 
 def snort_game(board: SnortBoard, store: GameStore) -> Game:
     """Canonical game value of a Snort position. The board is split into
-    connected parts, each encoded as int masks; components are evaluated
-    independently, memoized in canonical form under `canonical_key`, and
-    summed."""
+    connected parts, each encoded as int masks; components, split by live
+    edges, are evaluated independently, memoized in canonical form under
+    `canonical_key`, and summed."""
     deadline = store.deadline
     return evaluate(
         store,
@@ -370,8 +390,8 @@ def snort_game(board: SnortBoard, store: GameStore) -> Game:
 
 
 # each vertex multiplies the census by 8 to 13 (112, 853, 11,117 graphs on
-# 6, 7, 8 vertices)
-GRAPH_VERTEX_CAP = 6
+# 6, 7, 8 vertices), and `scan graphs` on 8 vertices takes about a minute
+GRAPH_VERTEX_CAP = 8
 
 
 def graph_enumerate(max_vertices: int) -> Iterator[SnortBoard]:

@@ -16,7 +16,9 @@ moves and reflection key it replaced are kept here. So are the Snort
 board's own moves and components, which the evaluator replaced with int
 masks, and the isomorphism key it replaced: colour refinement, then the
 least relabelling over every ordering consistent with the colour classes
-(exact, and factorial in the class sizes).
+(exact, and factorial in the class sizes). The evaluator splits and keys
+a Snort position by its live edges only; `snort_live` drops the others
+from a board, so the tests can check that doing so keeps the value.
 """
 
 from __future__ import annotations
@@ -224,6 +226,18 @@ def snort_moves(board: SnortBoard, left: bool) -> list[SnortBoard]:
         for v in range(board.n)
         if board.tints[v] in (Tint.FREE, own)
     ]
+
+
+def snort_live(board: SnortBoard) -> SnortBoard:
+    """The board without its edges whose two ends carry the same tint."""
+    return SnortBoard(
+        board.tints,
+        frozenset(
+            (a, b)
+            for a, b in board.edges
+            if board.tints[a] is Tint.FREE or board.tints[a] is not board.tints[b]
+        ),
+    )
 
 
 def snort_components(board: SnortBoard) -> list[SnortBoard]:

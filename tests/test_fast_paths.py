@@ -144,7 +144,7 @@ def test_board_node_counts_and_leq_memo():
     # 15,707 and 9,335 entries on these boards
     for build, nodes, leq_before in (
         (lambda s: dom_game(grid(2, 12), s), 1604, 15707),
-        (lambda s: snort_game(snort_grid(2, 6), s), 900, 9335),
+        (lambda s: snort_game(snort_grid(2, 6), s), 673, 9335),
     ):
         store = GameStore()
         build(store)

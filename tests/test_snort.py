@@ -9,7 +9,9 @@ from hotgames import (
     SnortBoard,
     TimeBudgetError,
     Tint,
+    format_game,
     graph_enumerate,
+    parse_expr,
     snort_game,
     snort_grid,
     snort_path,
@@ -20,11 +22,14 @@ from hotgames import snort
 from hotgames.budget import Deadline
 from hotgames.snort import _components, _moves, canonical_key, encoded_parts
 from oracle import (
+    RawOracle,
     connected_graphs_by_edge_masks,
+    raw_snort_value,
     snort_components,
     snort_decode,
     snort_key,
     snort_moves,
+    snort_live,
     snort_neighbours,
     snort_play,
 )
@@ -38,10 +43,10 @@ def position(board):
     return part
 
 
-def tinted_graphs(rng, tintings=1):
-    """Every connected graph on up to 6 vertices, each with `tintings`
-    seeded random tintings."""
-    for n in range(1, 7):
+def tinted_graphs(rng, tintings=1, sizes=range(1, 7)):
+    """Every connected graph on each number of vertices in `sizes` (by
+    default 1 to 6), each with `tintings` seeded random tintings."""
+    for n in sizes:
         for graph in connected_graphs_by_edge_masks(n):
             for _ in range(tintings):
                 tints = tuple(rng.choice(list(Tint)) for _ in range(n))
@@ -119,8 +124,10 @@ def test_mask_moves_and_components_decode_to_the_oracle(rng):
             expect = snort_moves(board, left)
             assert [snort_decode(o) for o in options] == expect
             for option, b in zip(options, expect):
-                got = sorted(snort_decode(c).format() for c in _components(option))
-                assert got == sorted(c.format() for c in snort_components(b))
+                # a part still carries its same-tint edges, unread by the split
+                got = [snort_live(snort_decode(c)) for c in _components(option)]
+                live = snort_components(snort_live(b))
+                assert sorted(c.format() for c in got) == sorted(c.format() for c in live)
 
 
 def test_encoded_parts_decode_to_the_oracle_components(rng):
@@ -134,6 +141,44 @@ def test_encoded_parts_decode_to_the_oracle_components(rng):
 
 
 # -- values -------------------------------------------------------------------
+
+
+def test_same_tint_edges_do_not_change_the_value(store, rng):
+    # an edge between two LEFT or two RIGHT vertices never takes part in a
+    # move, so the evaluator splits and keys positions without it
+    boards = [*tinted_graphs(rng, 3, range(1, 6)), *tinted_graphs(rng, 1, [6])]
+    oracle = RawOracle(store)
+    dead = 0
+    for board in boards:
+        live = snort_live(board)
+        dead += live != board
+        raw = raw_snort_value(board, store)
+        assert oracle.eq(raw, raw_snort_value(live, store))
+        assert oracle.eq(snort_game(board, store).id, raw)
+    assert len(boards) == 205 and dead > len(boards) // 2
+
+
+SEVEN_VERTEX_VALUE = "{{5|{2|1}}|{{-1|-2}|-5}}"
+
+
+@pytest.mark.parametrize(
+    "text, value, t, degree",
+    [
+        ("7; 0 1; 0 2; 0 3; 1 4; 1 5; 2 6; 3 6", SEVEN_VERTEX_VALUE, D.parse("13/4"), 3),
+        ("7; 0 1; 0 2; 0 3; 1 4; 1 6; 2 5; 3 5; 4 6", SEVEN_VERTEX_VALUE, D.parse("13/4"), 3),
+        # the double star S(3,3)
+        ("8; 0 1; 0 2; 0 3; 0 4; 4 5; 4 6; 4 7", "{{6|3}|{-3|-6}}", D.parse("9/2"), 4),
+    ],
+)
+def test_degree_statement_counterexamples(store, text, value, t, degree):
+    # graphs hotter than their maximum degree allows, found by
+    # `hotgames scan graphs` on 7 and 8 vertices
+    board = SnortBoard.parse(text.replace("; ", "\n"))
+    g = snort_game(board, store)
+    assert board.degree() == degree
+    assert format_game(g) == value and g.eq(parse_expr(value, store))
+    assert temperature(g) == t > degree
+    assert RawOracle(store).eq(g.id, raw_snort_value(board, store))
 
 
 def test_empty_graph_is_zero(store):
@@ -355,7 +400,7 @@ def test_mask_key_and_oracle_key_induce_the_same_classes(rng):
     new_of_old = {}
     old_of_new = {}
     for board in boards:
-        old, new = snort_key(board), canonical_key(position(board))
+        old, new = snort_key(snort_live(board)), canonical_key(position(board))
         assert new_of_old.setdefault(old, new) == new
         assert old_of_new.setdefault(new, old) == old
     assert len(new_of_old) > len(boards) // 3
@@ -439,7 +484,7 @@ def test_graph_enumeration_contains_stars():
 
 def test_graph_enumeration_cap():
     with pytest.raises(CeilingExceededError):
-        list(graph_enumerate(7))
+        list(graph_enumerate(9))
 
 
 def test_grid_board():

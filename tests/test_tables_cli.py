@@ -343,8 +343,8 @@ def test_degree_findings_report_the_double_star(store):
 
 
 def test_scan_graphs_past_the_cap_exit_2(capsys):
-    assert main(["scan", "graphs", "--max-n", "7"]) == 2
-    assert "capped at 6" in capsys.readouterr().err
+    assert main(["scan", "graphs", "--max-n", "9"]) == 2
+    assert "capped at 8" in capsys.readouterr().err
 
 
 def test_scan_snortpaths_witness_k_per_position():
