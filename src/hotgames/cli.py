@@ -226,7 +226,7 @@ def _scan_positions(which: str, n: int, store: GameStore):
         ]
     return f"connected graphs <= {n} vertices", [
         (b.format().replace("\n", "; "), snort_game(b, store), b)
-        for b in graph_enumerate(n)
+        for b in graph_enumerate(n, store.deadline)
     ]
 
 

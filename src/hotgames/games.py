@@ -134,7 +134,8 @@ class Game:
 
     def number_value(self) -> Dyadic | None:
         """Exact value if this node is a canonical-form number, else None."""
-        return self.store._number_value(self.id)
+        store, i = self.store, self.id
+        return store._number_value(i) if store._canonical(i) == i else None
 
     def is_number(self) -> bool:
         return self.store._number_value(self.store._canonical(self.id)) is not None
@@ -151,6 +152,8 @@ class GameStore:
     not always the same node. A node is marked canonical in three writes:
     its `_stops` entry, then its `_memo_number` entry, then the canonical
     mark in `_memo_canonical`, so a thread that sees the mark sees both.
+    Only marked nodes have a `_memo_number` entry, so `_add` tests
+    canonicity by that entry, which also comes after the stops.
 
     Both budgets, `max_nodes` and the wall-clock `deadline`, are checked
     whenever a new node is allocated, so any computation that grows the
@@ -234,13 +237,13 @@ class GameStore:
 
     def _negate(self, i: int) -> int:
         memo = self._memo_negate
-        canon = self._memo_canonical
-        canonical = canon.get(i) == i
+        num = self._memo_number
+        canonical = i in num
         got = memo.get(i)
         # a negative found before i was marked canonical is marked below
-        if got is not None and (not canonical or canon.get(got) == got):
+        if got is not None and (not canonical or got in num):
             return got
-        x = self._memo_number.get(i)
+        x = num.get(i)
         if x is not None:
             res = self._number(-x)
         else:
@@ -251,7 +254,7 @@ class GameStore:
             if canonical:
                 # the negative of a canonical non-number is one too, and
                 # its options, negatives of canonical nodes, are marked
-                self._mark_canonical(res, None)
+                self._mark_canonical(res)
         memo[i] = res
         memo[res] = i
         return res
@@ -269,19 +272,16 @@ class GameStore:
         got = memo.get(key)
         if got is not None:
             return got
-        # literal canonical numbers carry their value in _memo_number, and a
-        # canonical non-number carries None there; read the canonical marks
-        # first, since _mark_canonical writes them last (threads)
-        canon = self._memo_canonical
-        a_canonical = canon.get(a) == a
-        b_canonical = canon.get(b) == b
-        x = self._memo_number.get(a)
-        y = self._memo_number.get(b)
+        # canonical numbers carry their value in _memo_number, and a
+        # canonical non-number carries None there
+        num = self._memo_number
+        x = num.get(a)
+        y = num.get(b)
         if x is not None and y is not None:
             res = self._number(x + y)
-        elif y is not None and a_canonical:
+        elif y is not None and a in num:
             res = self._translate(a, b)
-        elif x is not None and b_canonical:
+        elif x is not None and b in num:
             res = self._translate(b, a)
         else:
             left = [self._add(al, b) for al in self._left[a]]
@@ -389,7 +389,7 @@ class GameStore:
             i, right, self._right, self._left, lambda a, b: self._leq(b, a)
         )
         res = self._node(left, right)
-        self._mark_canonical(res, self._number_value(res))
+        self._mark_canonical(res)
         memo[i] = res
         return res
 
@@ -411,22 +411,32 @@ class GameStore:
             o, p = hit
             opts = sorted({x for x in opts if x != o} | set(same[p]))
 
-    def _mark_canonical(self, i: int, x: Dyadic | None) -> None:
-        """Record that node i is a canonical form with number value x (None
-        for a non-number), and its stops: (x, x) for a number, else
-        (max R(G^L), min L(G^R)) from its options, which are canonical and
-        marked. Every node fixed by `_memo_canonical` has its `_stops` and
-        `_memo_number` entries, so after the canonical check one lookup
-        tells a number from a non-number; both are written before the mark
-        (see the class docstring)."""
-        if x is not None:
-            self._stops[i] = (x, x)
+    def _mark_canonical(self, i: int) -> None:
+        """Record that node i is a canonical form, with its number value x
+        (None for a non-number) and its stops, all read off the stops of
+        its options, which are canonical and marked. With lo = max R(G^L)
+        and hi = min L(G^R), a game not equal to a number has lo >= hi
+        (Siegel, Combinatorial Game Theory, ch. II), so a canonical form
+        with lo < hi is the number (lo + hi)/2, and one with an empty side
+        is an integer with one option: R(G^L) + 1, L(G^R) - 1, or 0. A
+        number has stops (x, x), a non-number (lo, hi). Both entries are
+        written before the mark (see the class docstring); a marked node
+        returns at once."""
+        if i in self._memo_number:
+            return
+        st = self._stops
+        left, right = self._left[i], self._right[i]
+        if left and right:
+            lo = max([st[l][1] for l in left])
+            hi = min([st[r][0] for r in right])
+            x = (lo + hi).half() if lo < hi else None
+        elif left:
+            x = st[left[0]][1] + 1
+        elif right:
+            x = st[right[0]][0] - 1
         else:
-            st = self._stops
-            self._stops[i] = (
-                max(st[l][1] for l in self._left[i]),
-                min(st[r][0] for r in self._right[i]),
-            )
+            x = Dyadic(0)
+        st[i] = (lo, hi) if x is None else (x, x)
         self._memo_number[i] = x
         self._memo_canonical[i] = i
 
@@ -464,36 +474,12 @@ class GameStore:
 
     def _register_number(self, x: Dyadic, node: int) -> None:
         self._numbers[x] = node
-        self._mark_canonical(node, x)
+        self._mark_canonical(node)
 
     def _number_value(self, i: int) -> Dyadic | None:
-        """Value of a node that is literally a canonical-form number.
-
-        Non-canonical representations of numbers (e.g. {1/2|}) return
-        None here; semantic queries canonicalize before asking.
-        """
-        memo = self._memo_number
-        if i in memo:
-            return memo[i]
-        left, right = self._left[i], self._right[i]
-        res: Dyadic | None = None
-        if not left and not right:
-            res = Dyadic(0)
-        elif len(left) <= 1 and len(right) <= 1:
-            lv = self._number_value(left[0]) if left else None
-            rv = self._number_value(right[0]) if right else None
-            if left and not right:
-                if lv is not None and lv.is_integer and lv.num >= 0:
-                    res = lv + 1
-            elif right and not left:
-                if rv is not None and rv.is_integer and rv.num <= 0:
-                    res = rv - 1
-            elif lv is not None and rv is not None and lv < rv:
-                mid = (lv + rv).half()
-                if mid.exp >= 1 and rv - lv == Dyadic(1, mid.exp - 1):
-                    res = mid
-        memo[i] = res
-        return res
+        """Number value of a marked canonical node, else None (also for an
+        unmarked node such as {1/2|}: semantic queries canonicalize first)."""
+        return self._memo_number.get(i)
 
     # -- named constructors -----------------------------------------------
 

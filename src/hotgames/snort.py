@@ -372,12 +372,12 @@ def _twins(nbrs: list[list[int]], u: int, v: int) -> bool:
 def snort_game(board: SnortBoard, store: GameStore) -> Game:
     """Canonical game value of a Snort position. The board is split into
     connected parts, each encoded as int masks; components, split by live
-    edges, are evaluated independently, memoized in canonical form under
-    `canonical_key`, and summed."""
+    edges (the board's first parts too), are evaluated independently,
+    memoized in canonical form under `canonical_key`, and summed."""
     deadline = store.deadline
     return evaluate(
         store,
-        encoded_parts(board, deadline),
+        (c for p in encoded_parts(board, deadline) for c in _components(p)),
         "snort",
         _components,
         lambda p: canonical_key(p, deadline),
@@ -394,7 +394,9 @@ def snort_game(board: SnortBoard, store: GameStore) -> Game:
 GRAPH_VERTEX_CAP = 8
 
 
-def graph_enumerate(max_vertices: int) -> Iterator[SnortBoard]:
+def graph_enumerate(
+    max_vertices: int, deadline: Deadline | None = None
+) -> Iterator[SnortBoard]:
     """All connected untinted graphs with 1..max_vertices vertices, up to
     isomorphism and in ascending vertex count, for max_vertices <=
     GRAPH_VERTEX_CAP.
@@ -406,7 +408,8 @@ def graph_enumerate(max_vertices: int) -> Iterator[SnortBoard]:
     removed, so every connected graph on n + 1 vertices is a connected
     graph on n vertices plus one vertex with at least one neighbour. The
     key is exact, so is the dedupe. Graphs are grown as neighbour masks,
-    and a board is built only for each class kept."""
+    and a board is built only for each class kept. The deadline is checked
+    inside every key, so a budget stops a level before it is complete."""
     if max_vertices > GRAPH_VERTEX_CAP:
         raise CeilingExceededError(
             f"graph enumeration capped at {GRAPH_VERTEX_CAP} vertices "
@@ -423,7 +426,8 @@ def graph_enumerate(max_vertices: int) -> Iterator[SnortBoard]:
             for mask in range(1, new):
                 grown = [a | new if mask >> u & 1 else a for u, a in enumerate(adj)]
                 child = (*grown, mask)
-                classes.setdefault(canonical_key((child, 2 * new - 1, 0, 0)), child)
+                key = canonical_key((child, 2 * new - 1, 0, 0), deadline)
+                classes.setdefault(key, child)
         level = list(classes.values())
         yield from map(_graph_board, level)
 

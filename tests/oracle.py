@@ -1,16 +1,18 @@
 """Definition-level oracles for the game layer's fast paths.
 
 The store adds literal numbers as numbers, builds a canonical non-number
-plus a number by number translation, records each canonical node's stops
-when it marks the node and answers order questions from them, builds
-integers iteratively, and the board evaluators memoize canonical forms.
-The code here keeps the plain recursions from the definitions, with memo
-tables of its own, so the tests can compare the two. Nodes are
-interned in the store under test, so results compare by id. The minimal
-witness constant, which the engine bisects for inside a stop bracket, is
-here the plain scan up the grid, and the graph census, which the engine
-grows one vertex at a time, is here a filter over every labelled edge set
-that drops the relabellings of each graph it keeps.
+plus a number by number translation, reads each canonical node's stops
+and number value off its options' stops when it marks the node, answers
+order questions from the stops, builds integers iteratively, and the
+board evaluators memoize canonical forms. The code here keeps the plain
+recursions from the definitions, with memo tables of its own, so the
+tests can compare the two; `literal_number_value` is the structural
+number recognizer. Nodes are interned in the store under test, so
+results compare by id. The minimal witness constant, which the engine
+bisects for inside a stop bracket, is here the plain scan up the grid,
+and the graph census, which the engine grows one vertex at a time, is
+here a filter over every labelled edge set that drops the relabellings
+of each graph it keeps.
 The Domineering evaluator works on bitboards; the cell-set components,
 moves and reflection key it replaced are kept here. So are the Snort
 board's own moves and components, which the evaluator replaced with int
@@ -87,6 +89,39 @@ class RawOracle:
         return self.leq(a, b) and self.leq(b, a)
 
 
+def literal_number_value(store: GameStore, i: int) -> Dyadic | None:
+    """Value of node i if it is literally a canonical-form number, else
+    None, from its structure alone: 0 = {|}, n + 1 = {n|} for n >= 0,
+    -n - 1 = {|-n} for n >= 0, and m/2^k = {(m-1)/2^k | (m+1)/2^k} for odd
+    m and k >= 1."""
+    memo: dict[int, Dyadic | None] = {}
+
+    def rec(j: int) -> Dyadic | None:
+        if j in memo:
+            return memo[j]
+        left, right = store._left[j], store._right[j]
+        res = None
+        if not left and not right:
+            res = Dyadic(0)
+        elif len(left) <= 1 and len(right) <= 1:
+            lv = rec(left[0]) if left else None
+            rv = rec(right[0]) if right else None
+            if left and not right:
+                if lv is not None and lv.is_integer and lv.num >= 0:
+                    res = lv + 1
+            elif right and not left:
+                if rv is not None and rv.is_integer and rv.num <= 0:
+                    res = rv - 1
+            elif lv is not None and rv is not None and lv < rv:
+                mid = (lv + rv).half()
+                if mid.exp >= 1 and rv - lv == Dyadic(1, mid.exp - 1):
+                    res = mid
+        memo[j] = res
+        return res
+
+    return rec(i)
+
+
 def raw_stops(store: GameStore, i: int) -> tuple[Dyadic, Dyadic]:
     """(left stop, right stop) of node i, by recursion over its canonical
     form: a number x has (x, x); otherwise the left stop is the largest
@@ -98,7 +133,7 @@ def raw_stops(store: GameStore, i: int) -> tuple[Dyadic, Dyadic]:
         got = memo.get(ci)
         if got is not None:
             return got
-        x = store._number_value(ci)
+        x = literal_number_value(store, ci)
         if x is not None:
             res = (x, x)
         else:

@@ -14,7 +14,14 @@ from hotgames.snort import snort_game, snort_grid
 from hotgames.tables import snort_path_board
 from hotgames.thermal import stops
 
-from oracle import RawOracle, number_node, raw_dom_value, raw_snort_value, raw_stops
+from oracle import (
+    RawOracle,
+    literal_number_value,
+    number_node,
+    raw_dom_value,
+    raw_snort_value,
+    raw_stops,
+)
 
 N_PAIRS = 1000
 
@@ -166,6 +173,39 @@ def test_number_matches_recursive_construction():
         node = store._numbers[Dyadic(n)]
         assert store._memo_number[node] == Dyadic(n)
         assert store._memo_canonical[node] == node
+
+
+def test_number_value_read_off_stops_matches_the_structure():
+    # _mark_canonical reads a number value off the options' stops; the
+    # structural recognizer agrees on every marked node
+    store = GameStore()
+    rng = random.Random(19)
+    games = [random_game(rng, store) for _ in range(300)]
+    canonical = [g.canonical() for g in games]
+    for g in games + canonical:
+        store.negate(g)
+    for g, h in zip(games, games[1:]):
+        store.add(g, h).canonical()
+        store.add(g.canonical(), h.canonical()).canonical()
+    dom_game(grid(2, 8), store)
+    snort_game(snort_grid(2, 5), store)
+    for x in [*range(-30, 31), "1/2", "-3/4", "5/8", "-37/16", "1/64"]:
+        store.number(x)
+    marked = [c for c, d in store._memo_canonical.items() if c == d]
+    numbers = 0
+    for c in marked:
+        x = store._number_value(c)
+        assert x == literal_number_value(store, c), c
+        numbers += x is not None
+    assert len(marked) > 1000 and numbers > 100, (len(marked), numbers)
+
+
+def test_number_value_of_a_node_built_before_its_number():
+    store = GameStore()
+    one = store.make([store.zero], [])
+    assert one.number_value() == Dyadic(1)
+    assert one == store.number(1)
+    assert store.make([store.zero], [store.number(2)]).number_value() is None
 
 
 def test_number_mixed_signs_match_recursive_construction():

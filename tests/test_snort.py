@@ -181,6 +181,30 @@ def test_degree_statement_counterexamples(store, text, value, t, degree):
     assert RawOracle(store).eq(g.id, raw_snort_value(board, store))
 
 
+def double_star(a, b):
+    """S(a,b): centres 0 and a + 1, joined, with a and b leaves."""
+    edges = {(0, v) for v in range(1, a + 2)}
+    edges |= {(a + 1, v) for v in range(a + 2, a + b + 2)}
+    return SnortBoard((Tint.FREE,) * (a + b + 2), frozenset(edges))
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for b in range(1, 5) for a in range(1, b + 1)])
+def test_double_star_temperature_law(store, a, b):
+    # t(S(a,b)) = b + a/2 against a maximum degree of b + 1, so the
+    # degree statement fails exactly when a >= 3
+    board = double_star(a, b)
+    g = snort_game(board, store)
+    t = temperature(g)
+    assert t == b + D(a).half()
+    assert board.degree() == b + 1
+    assert (t > board.degree()) == (a >= 3)
+    assert RawOracle(store).eq(g.id, raw_snort_value(board, store))
+
+
+def test_double_star_labels_match_the_pinned_s33():
+    assert double_star(3, 3) == SnortBoard.parse("8\n0 1\n0 2\n0 3\n0 4\n4 5\n4 6\n4 7")
+
+
 def test_empty_graph_is_zero(store):
     assert snort_game(SnortBoard((), frozenset()), store) == store.zero
 
@@ -288,6 +312,27 @@ def test_expired_deadline_stops_before_splitting_every_component(monkeypatch):
     assert split == [board] and len(built) <= 3
 
 
+def test_first_parts_split_by_live_edges(monkeypatch):
+    # two free-free-LEFT paths joined at their LEFT ends: the joining edge
+    # is dead, so the board's parts are the two paths, keyed as one class
+    keyed = []
+
+    def key(p, deadline=None):
+        keyed.append(p)
+        return canonical_key(p, deadline)
+
+    monkeypatch.setattr(snort, "canonical_key", key)
+    board = SnortBoard(
+        (Tint.FREE, Tint.FREE, Tint.LEFT) * 2,
+        frozenset({(0, 1), (1, 2), (3, 4), (4, 5), (2, 5)}),
+    )
+    store = GameStore()
+    g = snort_game(board, store)
+    assert (len(keyed), len(store)) == (8, 16)
+    assert g == store.number(1)
+    assert RawOracle(store).eq(g.id, raw_snort_value(board, store))
+
+
 class CountingDeadline:
     """A deadline that runs out after a fixed number of checks."""
 
@@ -307,6 +352,15 @@ def test_deadline_stops_canonical_key_inside_one_part():
     with pytest.raises(TimeBudgetError) as exc:
         snort_game(snort_path(3000), store)
     assert any(entry.name == "canonical_key" for entry in exc.traceback)
+
+
+def test_deadline_stops_graph_enumeration_inside_a_level():
+    # a level is built whole before its graphs are yielded, so the budget
+    # is checked inside each key of the enumeration
+    with pytest.raises(TimeBudgetError) as exc:
+        list(graph_enumerate(7, CountingDeadline(200)))
+    names = [entry.name for entry in exc.traceback]
+    assert "graph_enumerate" in names and "canonical_key" in names
 
 
 def test_deadline_stops_encoding_inside_one_part():
