@@ -82,15 +82,6 @@ class DomBoard:
     def height(self) -> int:
         return max(y for _, y in self.cells) + 1 if self.cells else 0
 
-    def rotate90(self) -> "DomBoard":
-        return DomBoard((y, -x) for x, y in self.cells)
-
-    def reflect_h(self) -> "DomBoard":
-        return DomBoard((-x, y) for x, y in self.cells)
-
-    def reflect_v(self) -> "DomBoard":
-        return DomBoard((x, -y) for x, y in self.cells)
-
     def has_2x2(self) -> bool:
         c = self.cells
         return any(

@@ -5,7 +5,8 @@ small integer id; equal (leftOptions, rightOptions) pairs always map to
 the same id, so node equality is id equality and the reachable game graph
 is a shared DAG. All semantic queries (outcome, order, canonical form)
 are memoized per store, except order questions that the stops of two
-canonical nodes settle: every canonical node carries its stops.
+canonical nodes settle: every canonical node carries one mark, its
+stops and its number value, read off its options when it is marked.
 
 Board values come from one evaluator, `evaluate`: it takes a board's
 parts, memoizes each part's canonical value under a ruleset's symmetry
@@ -149,11 +150,8 @@ class GameStore:
     racing writers can only ever store identical values. The one exception
     is `_memo_add`: which sum node a pair gets depends on which operands are
     already known to be canonical, so racing writers store equal values,
-    not always the same node. A node is marked canonical in three writes:
-    its `_stops` entry, then its `_memo_number` entry, then the canonical
-    mark in `_memo_canonical`, so a thread that sees the mark sees both.
-    Only marked nodes have a `_memo_number` entry, so `_add` tests
-    canonicity by that entry, which also comes after the stops.
+    not always the same node. A node is marked canonical by one write of
+    its `_marks` entry, so a thread that sees the mark sees all of it.
 
     Both budgets, `max_nodes` and the wall-clock `deadline`, are checked
     whenever a new node is allocated, so any computation that grows the
@@ -171,9 +169,9 @@ class GameStore:
         self._memo_add: dict[tuple[int, int], int] = {}
         self._memo_wins: dict[tuple[int, bool], bool] = {}
         self._memo_leq: dict[tuple[int, int], bool] = {}
-        self._memo_canonical: dict[int, int] = {}
-        self._memo_number: dict[int, Dyadic | None] = {}
-        self._stops: dict[int, tuple[Dyadic, Dyadic]] = {}  # canonical nodes only
+        self._memo_canonical: dict[int, int] = {}  # unmarked nodes only
+        # canonical node -> (left stop, right stop, number value or None)
+        self._marks: dict[int, tuple[Dyadic, Dyadic, Dyadic | None]] = {}
         self._numbers: dict[Dyadic, int] = {}
         self._int_ends = {1: 0, -1: 0}  # the interned integers run between these
         self._caches: dict[str, dict] = {}
@@ -237,21 +235,20 @@ class GameStore:
 
     def _negate(self, i: int) -> int:
         memo = self._memo_negate
-        num = self._memo_number
-        canonical = i in num
+        marks = self._marks
+        mark = marks.get(i)
         got = memo.get(i)
         # a negative found before i was marked canonical is marked below
-        if got is not None and (not canonical or got in num):
+        if got is not None and (mark is None or got in marks):
             return got
-        x = num.get(i)
-        if x is not None:
-            res = self._number(-x)
+        if mark is not None and mark[2] is not None:
+            res = self._number(-mark[2])
         else:
             res = self._node(
                 [self._negate(r) for r in self._right[i]],
                 [self._negate(l) for l in self._left[i]],
             )
-            if canonical:
+            if mark is not None:
                 # the negative of a canonical non-number is one too, and
                 # its options, negatives of canonical nodes, are marked
                 self._mark_canonical(res)
@@ -272,16 +269,16 @@ class GameStore:
         got = memo.get(key)
         if got is not None:
             return got
-        # canonical numbers carry their value in _memo_number, and a
-        # canonical non-number carries None there
-        num = self._memo_number
-        x = num.get(a)
-        y = num.get(b)
+        # a marked node carries its number value, None for a non-number
+        ma = self._marks.get(a)
+        mb = self._marks.get(b)
+        x = None if ma is None else ma[2]
+        y = None if mb is None else mb[2]
         if x is not None and y is not None:
             res = self._number(x + y)
-        elif y is not None and a in num:
+        elif y is not None and ma is not None:
             res = self._translate(a, b)
-        elif x is not None and b in num:
+        elif x is not None and mb is not None:
             res = self._translate(b, a)
         else:
             left = [self._add(al, b) for al in self._left[a]]
@@ -356,9 +353,9 @@ class GameStore:
             return got
         # stops are order-preserving, and R(b) > L(a) gives a < b (Siegel,
         # Combinatorial Game Theory, ch. II); such answers are not memoized
-        sa = self._stops.get(a)
+        sa = self._marks.get(a)
         if sa is not None:
-            sb = self._stops.get(b)
+            sb = self._marks.get(b)
             if sb is not None:
                 if sa[0] > sb[0] or sa[1] > sb[1]:
                     return False
@@ -376,11 +373,13 @@ class GameStore:
         return Game(self, self._canonical(self._check(g)))
 
     def _canonical(self, i: int) -> int:
+        if i in self._marks:
+            return i
         memo = self._memo_canonical
         got = memo.get(i)
         if got is not None:
             return got
-        # both sides' children first: marking one fills `_stops`,
+        # both sides' children first: marking one gives it stops,
         # which `_leq` reads while either side is reduced
         left = sorted({self._canonical(l) for l in self._left[i]})
         right = sorted({self._canonical(r) for r in self._right[i]})
@@ -390,7 +389,8 @@ class GameStore:
         )
         res = self._node(left, right)
         self._mark_canonical(res)
-        memo[i] = res
+        if res != i:
+            memo[i] = res
         return res
 
     def _reduce(self, i: int, opts: list[int], same, back, worse) -> list[int]:
@@ -419,26 +419,23 @@ class GameStore:
         (Siegel, Combinatorial Game Theory, ch. II), so a canonical form
         with lo < hi is the number (lo + hi)/2, and one with an empty side
         is an integer with one option: R(G^L) + 1, L(G^R) - 1, or 0. A
-        number has stops (x, x), a non-number (lo, hi). Both entries are
-        written before the mark (see the class docstring); a marked node
-        returns at once."""
-        if i in self._memo_number:
+        number has stops (x, x), a non-number (lo, hi). The mark is
+        (L, R, x), written in one store; a marked node returns at once."""
+        marks = self._marks
+        if i in marks:
             return
-        st = self._stops
         left, right = self._left[i], self._right[i]
         if left and right:
-            lo = max([st[l][1] for l in left])
-            hi = min([st[r][0] for r in right])
+            lo = max([marks[l][1] for l in left])
+            hi = min([marks[r][0] for r in right])
             x = (lo + hi).half() if lo < hi else None
         elif left:
-            x = st[left[0]][1] + 1
+            x = marks[left[0]][1] + 1
         elif right:
-            x = st[right[0]][0] - 1
+            x = marks[right[0]][0] - 1
         else:
             x = Dyadic(0)
-        st[i] = (lo, hi) if x is None else (x, x)
-        self._memo_number[i] = x
-        self._memo_canonical[i] = i
+        marks[i] = (lo, hi, None) if x is None else (x, x, x)
 
     # -- numbers ----------------------------------------------------------
 
@@ -479,7 +476,8 @@ class GameStore:
     def _number_value(self, i: int) -> Dyadic | None:
         """Number value of a marked canonical node, else None (also for an
         unmarked node such as {1/2|}: semantic queries canonicalize first)."""
-        return self._memo_number.get(i)
+        mark = self._marks.get(i)
+        return None if mark is None else mark[2]
 
     # -- named constructors -----------------------------------------------
 

@@ -148,6 +148,8 @@ def _format_canonical(store: GameStore, i: int) -> str:
         return "^"
     if i == store.down.id:
         return "v"
-    left = ",".join(_format_canonical(store, l) for l in store._left[i])
-    right = ",".join(_format_canonical(store, r) for r in store._right[i])
+    # distinct canonical options print differently, so sorting by text
+    # gives an order that depends on the games, not on their node ids
+    left = ",".join(sorted(_format_canonical(store, l) for l in store._left[i]))
+    right = ",".join(sorted(_format_canonical(store, r) for r in store._right[i]))
     return "{" + left + "|" + right + "}"

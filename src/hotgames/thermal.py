@@ -25,7 +25,7 @@ def stops(g: Game) -> tuple[Dyadic, Dyadic]:
     """(left stop, right stop) of the canonical form, which the store
     records when it marks a node canonical."""
     store = g.store
-    return store._stops[store._canonical(g.id)]
+    return store._marks[store._canonical(g.id)][:2]
 
 
 def left_stop(g: Game) -> Dyadic:

@@ -14,13 +14,15 @@ and the graph census, which the engine grows one vertex at a time, is
 here a filter over every labelled edge set that drops the relabellings
 of each graph it keeps.
 The Domineering evaluator works on bitboards; the cell-set components,
-moves and reflection key it replaced are kept here. So are the Snort
-board's own moves and components, which the evaluator replaced with int
-masks, and the isomorphism key it replaced: colour refinement, then the
-least relabelling over every ordering consistent with the colour classes
-(exact, and factorial in the class sizes). The evaluator splits and keys
-a Snort position by its live edges only; `snort_live` drops the others
-from a board, so the tests can check that doing so keeps the value.
+moves and reflection key it replaced are kept here, with the quarter
+turn and the two reflections of a board, which only tests apply. So are
+the Snort board's own moves and components, which the evaluator
+replaced with int masks, and the isomorphism key it replaced: colour
+refinement, then the least relabelling over every ordering consistent
+with the colour classes (exact, and factorial in the class sizes). The
+evaluator splits and keys a Snort position by its live edges only;
+`snort_live` drops the others from a board, so the tests can check that
+doing so keeps the value.
 """
 
 from __future__ import annotations
@@ -199,6 +201,18 @@ def dom_moves(cells: frozenset) -> tuple[list[frozenset], list[frozenset]]:
     left = [cells - {(x, y), (x, y + 1)} for x, y in cells if (x, y + 1) in cells]
     right = [cells - {(x, y), (x + 1, y)} for x, y in cells if (x + 1, y) in cells]
     return left, right
+
+
+def rotate90(board: DomBoard) -> DomBoard:
+    return DomBoard((y, -x) for x, y in board.cells)
+
+
+def reflect_h(board: DomBoard) -> DomBoard:
+    return DomBoard((-x, y) for x, y in board.cells)
+
+
+def reflect_v(board: DomBoard) -> DomBoard:
+    return DomBoard((x, -y) for x, y in board.cells)
 
 
 def raw_dom_value(board: DomBoard, store: GameStore) -> int:

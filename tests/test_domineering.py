@@ -21,7 +21,14 @@ from hotgames.domineering import (
     _moves,
     _reflection_key,
 )
-from oracle import dom_components, dom_moves, dom_reflection_key
+from oracle import (
+    dom_components,
+    dom_moves,
+    dom_reflection_key,
+    reflect_h,
+    reflect_v,
+    rotate90,
+)
 
 D = Dyadic
 
@@ -88,13 +95,13 @@ def test_tall_l_board_left_wins(store):
 def test_rotation_negates(store, rng):
     boards = [grid(2, 3), DomBoard.parse("#..\n###"), DomBoard.parse("##.\n.##")]
     for b in boards:
-        assert dom_game(b.rotate90(), store).eq(-dom_game(b, store))
+        assert dom_game(rotate90(b), store).eq(-dom_game(b, store))
 
 
 def test_reflection_preserves(store):
     for b in (grid(2, 3), DomBoard.parse("#..\n###")):
-        assert dom_game(b.reflect_h(), store) == dom_game(b, store)
-        assert dom_game(b.reflect_v(), store) == dom_game(b, store)
+        assert dom_game(reflect_h(b), store) == dom_game(b, store)
+        assert dom_game(reflect_v(b), store) == dom_game(b, store)
 
 
 def test_component_split_soundness(store, rng):

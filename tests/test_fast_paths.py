@@ -40,8 +40,8 @@ def _sum_kind(store: GameStore, a: int, b: int) -> str:
     x, y = store._number_value(a), store._number_value(b)
     if x is not None and y is not None:
         return "number + number"
-    canonical = store._memo_canonical
-    if (y is not None and canonical.get(a) == a) or (x is not None and canonical.get(b) == b):
+    marks = store._marks
+    if (y is not None and a in marks) or (x is not None and b in marks):
         return "translation"
     return "general"
 
@@ -73,7 +73,7 @@ def test_sum_operators_are_canonical_and_exact():
 
 def _stops_branch(store: GameStore, a: int, b: int) -> str:
     """Which branch of `_leq`'s stops check answers a <= b."""
-    sa, sb = store._stops.get(a), store._stops.get(b)
+    sa, sb = store._marks.get(a), store._marks.get(b)
     if sa is None or sb is None:
         return "no stops"
     if sa[0] > sb[0] or sa[1] > sb[1]:
@@ -124,7 +124,7 @@ def test_stops_match_raw_recursion():
     for g in games + canonical + negatives + sums:
         assert stops(g) == raw_stops(store, g.id)
     # _negate marks the negative of a canonical form canonical
-    assert all(store._memo_canonical.get(n.id) == n.id for n in negatives)
+    assert all(n.id in store._marks for n in negatives)
     for evaluator, board, memo in (
         (snort_game, snort_grid(2, 5), "snort"),
         (dom_game, grid(2, 8), "domineering"),
@@ -140,10 +140,10 @@ def test_negative_found_before_its_node_was_marked_canonical():
     store = GameStore()
     g = store.make([store.number(2)], [store.number(1)])
     minus_g = -g
-    assert g.canonical() == g and store._memo_canonical.get(minus_g.id) is None
+    assert g.canonical() == g and minus_g.id not in store._marks
     h = store.make([g], [store.zero]).canonical()
     assert stops(-h) == raw_stops(store, (-h).id) == (Dyadic(0), Dyadic(-1))
-    assert store._memo_canonical.get(minus_g.id) == minus_g.id
+    assert minus_g.id in store._marks
 
 
 def test_board_node_counts_and_leq_memo():
@@ -171,13 +171,14 @@ def test_number_matches_recursive_construction():
     # every integer on the way was registered as a canonical number
     for n in range(-40, 41):
         node = store._numbers[Dyadic(n)]
-        assert store._memo_number[node] == Dyadic(n)
-        assert store._memo_canonical[node] == node
+        assert store._marks[node] == (Dyadic(n),) * 3
 
 
 def test_number_value_read_off_stops_matches_the_structure():
-    # _mark_canonical reads a number value off the options' stops; the
-    # structural recognizer agrees on every marked node
+    # _mark_canonical reads a node's stops and number value off its
+    # options' stops; the recursion from the definitions and the
+    # structural recognizer agree on every marked node, and the memo of
+    # canonical forms holds only raw nodes, each mapped to a marked one
     store = GameStore()
     rng = random.Random(19)
     games = [random_game(rng, store) for _ in range(300)]
@@ -191,13 +192,15 @@ def test_number_value_read_off_stops_matches_the_structure():
     snort_game(snort_grid(2, 5), store)
     for x in [*range(-30, 31), "1/2", "-3/4", "5/8", "-37/16", "1/64"]:
         store.number(x)
-    marked = [c for c, d in store._memo_canonical.items() if c == d]
+    for i, c in store._memo_canonical.items():
+        assert i != c and c in store._marks, (i, c)
     numbers = 0
-    for c in marked:
-        x = store._number_value(c)
+    for c, (ls, rs, x) in store._marks.items():
+        assert (ls, rs) == raw_stops(store, c), c
         assert x == literal_number_value(store, c), c
         numbers += x is not None
-    assert len(marked) > 1000 and numbers > 100, (len(marked), numbers)
+    assert len(store._marks) > 1000 and numbers > 100, (len(store._marks), numbers)
+    assert len(store._memo_canonical) > 300
 
 
 def test_number_value_of_a_node_built_before_its_number():

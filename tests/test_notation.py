@@ -1,8 +1,13 @@
+from argparse import Namespace
+
 import pytest
 
-from hotgames import ParseError, format_game, parse_expr, stops
+from hotgames import GameStore, ParseError, format_game, parse_expr, stops
+from hotgames.cli import cmd_eval
 from hotgames.dyadic import Dyadic
 from hotgames.sampling import random_game
+from hotgames.snort import snort_game
+from hotgames.tables import snort_2xn_table, snort_path_board, snort_path_table
 
 
 def test_parse_switch_stops(store):
@@ -124,3 +129,40 @@ def test_parse_result_or_error_offset(store, text, expected):
         parse_expr(text, store)
     assert err.value.position == offset
     assert str(err.value) == f"syntax error at offset {offset}: {message}"
+
+
+def _history(store: GameStore) -> GameStore:
+    """The store after it built the Snort 2xn and decorated-path tables."""
+    snort_2xn_table(store, 7)
+    snort_path_table(store, 12)
+    return store
+
+
+def test_printed_board_values_do_not_depend_on_the_store_history():
+    # the four decorated-path families to n = 12 and their colour swaps
+    boards = [
+        b
+        for family in ("P", "LP", "LPL", "LPR")
+        for n in range(1, 13)
+        if (board := snort_path_board(family, n)) is not None
+        for b in (board, board.swap_colours())
+    ]
+    assert len(boards) == 90
+    shared = _history(GameStore())
+    for board in boards:
+        fresh = format_game(snort_game(board, GameStore()))
+        assert format_game(snort_game(board, shared)) == fresh, board
+
+
+def test_eval_prints_the_same_text_whatever_the_store_built_first(capsys):
+    # the value of the Snort path on 7 vertices, as it prints
+    expr = (
+        "{1,{{4|3}|{*|{-1|-1}}},{{4|3}|{1|-1},{{1|1}|*}}"
+        "|-1,{{*|{-1|-1}},{1|-1}|{-3|-4}},{{{1|1}|*}|{-3|-4}}}"
+    )
+    outputs = []
+    for store in (GameStore(), _history(GameStore())):
+        cmd_eval(Namespace(expr=expr, format="text"), store)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[0] == "canonical    " + expr

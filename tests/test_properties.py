@@ -3,6 +3,7 @@ paths (order recursion vs outcome search, thermograph vs cooling)
 audit each other here."""
 
 import random
+import sys
 import threading
 
 from hotgames import (
@@ -135,3 +136,49 @@ def test_threaded_queries_agree(store):
         t.join()
     assert not errors
     assert all(results[i] == expected for i in results)
+
+
+def _canonical_reports(games: list[Game]) -> list[tuple]:
+    out = []
+    for g in games:
+        c = g.canonical()
+        out.append((format_game(c), stops(c), c.number_value(), temperature(c)))
+    return out
+
+
+def test_threads_marking_a_fresh_store_agree():
+    # the games' canonical forms are marked while the threads race; a
+    # mark is one write, so a thread reads all of a mark or none of it
+    def seeded_games(store: GameStore) -> list[Game]:
+        rng = random.Random(2121)
+        return [random_game(rng, store) for _ in range(50)]
+
+    expected = _canonical_reports(seeded_games(GameStore()))
+    store = GameStore()
+    games = seeded_games(store)
+    start = threading.Barrier(8, timeout=60)
+    results = {}
+    errors = []
+
+    def worker(tid):
+        try:
+            start.wait()
+            results[tid] = _canonical_reports(games)
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-canonicalization
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(results) == 8
+    assert all(r == expected for r in results.values())
+    assert any(x is not None for _, _, x, _ in expected)
