@@ -8,7 +8,8 @@ from .errors import TimeBudgetError
 
 
 class Deadline:
-    """Optional wall-clock budget; check() raises once it has passed."""
+    """Wall-clock budget; check() raises once it has passed. An unset
+    Deadline() is "no budget" and never expires."""
 
     def __init__(self, seconds: float | None = None):
         self.seconds = seconds

@@ -161,7 +161,8 @@ class GameStore:
     def __init__(self, max_nodes: int | None = None, deadline: Deadline | None = None):
         self._lock = threading.RLock()
         self.max_nodes = max_nodes
-        self.deadline = None  # set after 0, *, ^ and v, so an expired one still builds
+        # no budget until 0, *, ^ and v are built, so an expired one still builds them
+        self.deadline = Deadline()
         self._left: list[tuple[int, ...]] = []
         self._right: list[tuple[int, ...]] = []
         self._intern: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
@@ -181,7 +182,7 @@ class GameStore:
         self.star = self.make([self.zero], [self.zero])
         self.up = self.make([self.zero], [self.star])
         self.down = self.make([self.star], [self.zero])
-        self.deadline = deadline
+        self.deadline = Deadline() if deadline is None else deadline
 
     # -- nodes ------------------------------------------------------------
 
@@ -213,8 +214,7 @@ class GameStore:
                 raise NodeBudgetError(
                     f"store node budget exceeded ({self.max_nodes} nodes)"
                 )
-            if self.deadline is not None:
-                self.deadline.check()
+            self.deadline.check()
             gid = len(self._left)
             self._left.append(key[0])
             self._right.append(key[1])
@@ -524,8 +524,7 @@ def evaluate(
 
     def component(c) -> int:
         # a part that is a memo hit allocates no node, so the key is budgeted here
-        if store.deadline is not None:
-            store.deadline.check()
+        store.deadline.check()
         got = seen.get(c)
         if got is not None:
             return got

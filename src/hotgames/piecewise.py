@@ -1,8 +1,8 @@
-"""Exact piecewise-linear trajectories with slopes in {-1, 0, +1}.
+"""Exact piecewise-linear walls with slopes in {-1, 0, +1}.
 
-A trajectory maps t in [-1, +inf) to a dyadic x: linear between
-breakpoints, constant after the last one. Thermograph walls are
-trajectories, and wall construction only ever needs pointwise max/min
+A wall is a tuple of (t, x) breakpoints that starts at t = -1. It maps
+t in [-1, +inf) to a dyadic x: linear between breakpoints, constant after
+the last one. Thermograph construction only ever needs pointwise max/min
 and the first meeting point of two walls sheared against each other.
 Slope differences are always 1 or 2, so every derived breakpoint stays
 dyadic and the whole computation is exact.
@@ -10,12 +10,12 @@ dyadic and the whole computation is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .dyadic import MINUS_ONE, Dyadic
 
 Point = tuple[Dyadic, Dyadic]
+Wall = tuple[Point, ...]
 
 
 def _segment_slope(t0: Dyadic, x0: Dyadic, t1: Dyadic, x1: Dyadic) -> int:
@@ -30,38 +30,35 @@ def _segment_slope(t0: Dyadic, x0: Dyadic, t1: Dyadic, x1: Dyadic) -> int:
     raise ValueError(f"segment ({t0},{x0})-({t1},{x1}) has slope outside {{-1,0,1}}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    points: tuple[Point, ...]
+def validate(wall: Wall, slopes: set[int]) -> Wall:
+    """Raise ValueError unless the wall starts at t = -1, its breakpoints
+    increase in t and every segment's slope is in slopes."""
+    if not wall or wall[0][0] != MINUS_ONE:
+        raise ValueError("wall must start at t = -1")
+    for p, q in zip(wall, wall[1:]):
+        if not p[0] < q[0]:
+            raise ValueError(f"breakpoints out of order at t={q[0]}")
+        if (s := _segment_slope(*p, *q)) not in slopes:
+            raise ValueError(f"wall slope {s} not in {slopes}")
+    return wall
 
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("trajectory needs at least one breakpoint")
-        if self.points[0][0] != MINUS_ONE:
-            raise ValueError("trajectory must start at t = -1")
 
-    def validate(self) -> "Trajectory":
-        for (t0, x0), (t1, x1) in zip(self.points, self.points[1:]):
-            if not t0 < t1:
-                raise ValueError(f"breakpoints out of order at t={t1}")
-            _segment_slope(t0, x0, t1, x1)
-        return self
+def values(wall: Wall, ts: list[Dyadic]):
+    """The wall's value at each of the increasing times ts, with its slope
+    just after that time."""
+    slopes = [_segment_slope(*p, *q) for p, q in zip(wall, wall[1:])] + [0]
+    i = 0
+    for t in ts:
+        while i + 1 < len(wall) and wall[i + 1][0] <= t:
+            i += 1
+        (t0, x0), s = wall[i], slopes[i]
+        yield x0 + (t - t0) * s if s else x0, s
 
-    def value(self, t: Dyadic) -> Dyadic:
-        if t < MINUS_ONE:
-            raise ValueError(f"trajectory undefined below t = -1 (got {t})")
-        pts = self.points
-        if t >= pts[-1][0]:
-            return pts[-1][1]
-        for (t0, x0), (t1, x1) in zip(pts, pts[1:]):
-            if t <= t1:
-                s = _segment_slope(t0, x0, t1, x1)
-                return x0 + (t - t0) * s if s else x0
-        raise AssertionError("unreachable")
 
-    @staticmethod
-    def constant(x: Dyadic) -> "Trajectory":
-        return Trajectory(((MINUS_ONE, x),))
+def value(wall: Wall, t: Dyadic) -> Dyadic:
+    if t < MINUS_ONE:
+        raise ValueError(f"wall undefined below t = -1 (got {t})")
+    return next(values(wall, [t]))[0]
 
 
 def drop_collinear(points: list[Point]) -> list[Point]:
@@ -77,7 +74,7 @@ def drop_collinear(points: list[Point]) -> list[Point]:
     return points
 
 
-def normalize(points: list[Point]) -> Trajectory:
+def normalize(points: list[Point]) -> Wall:
     """Drop repeated and collinear breakpoints."""
     out: list[Point] = []
     for p in points:
@@ -90,10 +87,10 @@ def normalize(points: list[Point]) -> Trajectory:
     # a final segment of slope 0 is already implied by the constant tail
     if len(out) >= 2 and out[-1][1] == out[-2][1]:
         del out[-1]
-    return Trajectory(tuple(out))
+    return tuple(out)
 
 
-def _sweep(a: Trajectory, b: Trajectory, shear: int):
+def _sweep(a: Wall, b: Wall, shear: int):
     """Yield (t, a(t), b(t)) at every breakpoint of a or b, in order, and
     at each point strictly between two of them where the gap
     a(t) - b(t) - shear*t changes strict sign.
@@ -101,10 +98,10 @@ def _sweep(a: Trajectory, b: Trajectory, shear: int):
     Every caller keeps the gap's slope at +-1 or +-2 there, so an inserted
     crossing t0 + |gap(t0)| or t0 + |gap(t0)|/2 stays dyadic.
     """
-    ts = sorted({t for t, _ in a.points} | {t for t, _ in b.points})
+    ts = sorted({t for t, _ in a} | {t for t, _ in b})
     rows = [
         (t, xa, sa, xb, sb, xa - xb - t * shear)
-        for t, (xa, sa), (xb, sb) in zip(ts, _values(a, ts), _values(b, ts))
+        for t, (xa, sa), (xb, sb) in zip(ts, values(a, ts), values(b, ts))
     ]
     yield ts[0], rows[0][1], rows[0][3]
     for (t0, xa0, sa0, xb0, sb0, d0), (t, xa, _, xb, _, d) in zip(rows, rows[1:]):
@@ -114,36 +111,17 @@ def _sweep(a: Trajectory, b: Trajectory, shear: int):
         yield t, xa, xb
 
 
-def _values(tr: Trajectory, ts: list[Dyadic]):
-    """tr's value at each of the increasing times ts, with tr's slope
-    just after that time."""
-    pts = tr.points
-    slopes = [_segment_slope(*p, *q) for p, q in zip(pts, pts[1:])] + [0]
-    i = 0
-    for t in ts:
-        while i + 1 < len(pts) and pts[i + 1][0] <= t:
-            i += 1
-        (t0, x0), s = pts[i], slopes[i]
-        yield x0 + (t - t0) * s if s else x0, s
+def merge(ws: list[Wall], pick) -> Wall:
+    """The pointwise pick (max or min) of the walls."""
+    return reduce(
+        lambda a, b: normalize([(t, pick(xa, xb)) for t, xa, xb in _sweep(a, b, 0)]), ws
+    )
 
 
-def _merge(a: Trajectory, b: Trajectory, take_max: bool) -> Trajectory:
-    pick = max if take_max else min
-    return normalize([(t, pick(xa, xb)) for t, xa, xb in _sweep(a, b, 0)])
-
-
-def merge_max(trajectories: list[Trajectory]) -> Trajectory:
-    return reduce(lambda x, y: _merge(x, y, True), trajectories)
-
-
-def merge_min(trajectories: list[Trajectory]) -> Trajectory:
-    return reduce(lambda x, y: _merge(x, y, False), trajectories)
-
-
-def walls(m: Trajectory, w: Trajectory):
-    """Temperature, mast and the two walls (left_wall, right_wall) of the
-    thermograph whose left wall is x = m(t) - t and right wall x = w(t) + t
-    up to the first t >= -1 where they meet.
+def walls(m: Wall, w: Wall) -> tuple[Wall, Wall]:
+    """The left and right walls of the thermograph whose left wall is
+    x = m(t) - t and right wall x = w(t) + t up to the first t >= -1 where
+    they meet, which is both walls' last point.
 
     Their gap f(t) = m(t) - w(t) - 2t is continuous, piecewise linear and
     non-increasing with slopes in {0,-1,-2}, so the first zero exists and
@@ -165,4 +143,4 @@ def walls(m: Trajectory, w: Trajectory):
         left.append((t, xm - t))
         right.append((t, xw + t))
     # not normalize(): a wall keeps its flat final segment up to the mast
-    return t, left[-1][1], tuple(drop_collinear(left)), tuple(drop_collinear(right))
+    return tuple(drop_collinear(left)), tuple(drop_collinear(right))

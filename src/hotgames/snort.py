@@ -178,7 +178,7 @@ def snort_grid(rows: int, cols: int) -> SnortBoard:
 
 
 def encoded_parts(
-    board: SnortBoard, deadline: Deadline | None = None
+    board: SnortBoard, deadline: Deadline = Deadline()
 ) -> Iterator[Position]:
     """The board's connected parts as int positions, built one at a time.
 
@@ -200,7 +200,7 @@ def encoded_parts(
         part = [seed]
         # part grows while it is read: a breadth-first search
         for i, v in enumerate(part):
-            if deadline is not None and not i & 1023:
+            if not i & 1023:
                 deadline.check()
             for w in nbrs[v]:
                 if not seen[w]:
@@ -211,7 +211,7 @@ def encoded_parts(
         adj = []
         left = right = 0
         for i, v in enumerate(part):
-            if deadline is not None and i and not i & 1023:
+            if i and not i & 1023:
                 deadline.check()
             adj.append(sum([1 << label[w] for w in nbrs[v]]))
             if board.tints[v] is Tint.LEFT:
@@ -270,15 +270,14 @@ def _moves(position: Position) -> tuple[list[Position], list[Position]]:
 
 
 def _refine(
-    colour: list[int], nbrs: list[list[int]], deadline: Deadline | None
+    colour: list[int], nbrs: list[list[int]], deadline: Deadline
 ) -> list[int]:
     """Split each colour class by the multiset of neighbour colours until
     no class splits. Returns ranks 0..c-1 that keep the classes in their
     order. The deadline is checked once per round."""
     cells = 0
     while True:
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         sigs = [(c, *sorted([colour[u] for u in ns])) for c, ns in zip(colour, nbrs)]
         ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
         if len(ranks) == cells:
@@ -289,7 +288,7 @@ def _refine(
             return colour
 
 
-def canonical_key(position: Position, deadline: Deadline | None = None) -> tuple:
+def canonical_key(position: Position, deadline: Deadline = Deadline()) -> tuple:
     """Isomorphism key of a position: equal exactly for positions whose
     live tinted graphs (same-tint edges dropped) are isomorphic, for every
     graph.
@@ -395,7 +394,7 @@ GRAPH_VERTEX_CAP = 8
 
 
 def graph_enumerate(
-    max_vertices: int, deadline: Deadline | None = None
+    max_vertices: int, deadline: Deadline = Deadline()
 ) -> Iterator[SnortBoard]:
     """All connected untinted graphs with 1..max_vertices vertices, up to
     isomorphism and in ascending vertex count, for max_vertices <=

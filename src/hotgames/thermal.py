@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .dyadic import MINUS_ONE, ZERO, Dyadic, dyadic
 from .errors import DomainError, NotHotError, WrongShapeError
 from .games import Game
-from .piecewise import Point, Trajectory, _segment_slope, merge_max, merge_min, walls
+from .piecewise import Wall, merge, validate, value, values, walls
 
 
 # ---------------------------------------------------------------------------
@@ -57,35 +57,37 @@ def infinitesimally_close(g: Game, h: Game) -> bool:
 
 @dataclass(frozen=True)
 class Thermograph:
-    """Exact thermograph: walls on t in [-1, temperature], mast above.
+    """Exact thermograph: its two walls on t in [-1, temperature], and the
+    mast above the point (temperature, mast) where they meet.
 
     Wall x-coordinates follow the plotting convention that larger values
     sit further left; the left wall is non-increasing in t with segment
     slopes in {0,-1}, the right wall non-decreasing with slopes {0,+1},
-    and both end at (temperature, mast).
+    and both end where they meet.
     """
 
-    temperature: Dyadic
-    mast: Dyadic
-    left_wall: tuple[Point, ...]
-    right_wall: tuple[Point, ...]
+    left_wall: Wall
+    right_wall: Wall
+
+    @property
+    def temperature(self) -> Dyadic:
+        return self.left_wall[-1][0]
+
+    @property
+    def mast(self) -> Dyadic:
+        return self.left_wall[-1][1]
 
     def left_x(self, t: Dyadic) -> Dyadic:
-        return Trajectory(self.left_wall).value(t)
+        return value(self.left_wall, t)
 
     def right_x(self, t: Dyadic) -> Dyadic:
-        return Trajectory(self.right_wall).value(t)
+        return value(self.right_wall, t)
 
     def validate(self) -> "Thermograph":
-        for wall, slopes in ((self.left_wall, {0, -1}), (self.right_wall, {0, 1})):
-            Trajectory(wall).validate()
-            for p, q in zip(wall, wall[1:]):
-                if (s := _segment_slope(*p, *q)) not in slopes:
-                    raise ValueError(f"wall slope {s} not in {slopes}")
-            if wall[-1] != (self.temperature, self.mast):
-                raise ValueError("wall does not end at the mast")
-            if wall[0][0] != MINUS_ONE:
-                raise ValueError("wall does not start at t = -1")
+        validate(self.left_wall, {0, -1})
+        validate(self.right_wall, {0, 1})
+        if self.left_wall[-1] != self.right_wall[-1]:
+            raise ValueError("walls do not meet at their last point")
         return self
 
     def to_json_dict(self) -> dict:
@@ -110,11 +112,11 @@ def thermograph(g: Game) -> Thermograph:
             return got
         x = store._number_value(ci)
         if x is not None and x.is_integer:
-            res = Thermograph(MINUS_ONE, x, ((MINUS_ONE, x),), ((MINUS_ONE, x),))
+            res = Thermograph(((MINUS_ONE, x),), ((MINUS_ONE, x),))
         else:
             # canonical non-integers always have options on both sides
-            m = merge_max([Trajectory(rec(l).right_wall) for l in store._left[ci]])
-            w = merge_min([Trajectory(rec(r).left_wall) for r in store._right[ci]])
+            m = merge([rec(l).right_wall for l in store._left[ci]], max)
+            w = merge([rec(r).left_wall for r in store._right[ci]], min)
             res = Thermograph(*walls(m, w))
         memo[ci] = res
         return res
@@ -210,22 +212,12 @@ class WallDecomposition:
     t_oblique: Dyadic
 
 
-def _decompose(wall: tuple[Point, ...], t_star: Dyadic, side: str) -> WallDecomposition:
-    traj = Trajectory(wall)
-    ts = [ZERO]
-    ts += [t for t, _ in wall if ZERO < t < t_star]
-    ts.append(t_star)
-    kinds = []
-    t_ver = ZERO
-    t_obl = ZERO
-    for t0, t1 in zip(ts, ts[1:]):
-        if traj.value(t0) == traj.value(t1):
-            kinds.append("vertical")
-            t_ver = t_ver + (t1 - t0)
-        else:
-            kinds.append("oblique")
-            t_obl = t_obl + (t1 - t0)
-    return WallDecomposition(side, tuple(ts), tuple(kinds), t_ver, t_obl)
+def _decompose(wall: Wall, t_star: Dyadic, side: str) -> WallDecomposition:
+    ts = [ZERO, *(t for t, _ in wall if ZERO < t < t_star), t_star]
+    # no breakpoint lies strictly inside a segment, so one slope holds on it
+    kinds = tuple("oblique" if s else "vertical" for _, s in values(wall, ts[:-1]))
+    t_ver = sum((t1 - t0 for t0, t1, k in zip(ts, ts[1:], kinds) if k == "vertical"), ZERO)
+    return WallDecomposition(side, tuple(ts), kinds, t_ver, t_star - t_ver)
 
 
 def wall_decomposition(g: Game) -> tuple[WallDecomposition, WallDecomposition]:

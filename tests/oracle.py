@@ -23,12 +23,17 @@ with the colour classes (exact, and factorial in the class sizes). The
 evaluator splits and keys a Snort position by its live edges only;
 `snort_live` drops the others from a board, so the tests can check that
 doing so keeps the value.
+`wall_segments` splits a thermograph wall at its turning points and
+calls a segment vertical when the wall's x, interpolated straight from
+its breakpoints, is equal at the segment's two ends; the engine reads
+the kind off the slope instead.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
 from hotgames import Dyadic, Game, GameStore, confusion_witness
 from hotgames.domineering import DomBoard
@@ -412,3 +417,22 @@ def connected_graphs_by_edge_masks(n: int) -> tuple[SnortBoard, ...]:
         seen.update(sum(1 << image[i] for i in used) for image in relabellings)
         out.append(board)
     return tuple(out)
+
+
+def wall_segments(wall, t_star: Dyadic) -> tuple[tuple[Dyadic, ...], tuple[str, ...]]:
+    """Turning points of a wall on [0, t_star], and each segment's kind:
+    "vertical" when the wall's x is equal at its two ends, else "oblique"."""
+
+    def frac(d: Dyadic) -> Fraction:
+        return Fraction(d.num, 1 << d.exp)
+
+    def x(t: Dyadic) -> Fraction:
+        pts = [(frac(a), frac(b)) for a, b in wall]
+        for (t0, x0), (t1, x1) in zip(pts, pts[1:]):
+            if frac(t) <= t1:
+                return x0 + (x1 - x0) * (frac(t) - t0) / (t1 - t0)
+        return pts[-1][1]
+
+    ts = (Dyadic(0), *(t for t, _ in wall if 0 < t < t_star), t_star)
+    kinds = tuple("vertical" if x(a) == x(b) else "oblique" for a, b in zip(ts, ts[1:]))
+    return ts, kinds

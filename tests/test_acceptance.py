@@ -41,7 +41,7 @@ from hotgames import (
 )
 from hotgames.budget import Deadline
 from hotgames.errors import NodeBudgetError, TimeBudgetError
-from hotgames.piecewise import Trajectory
+from hotgames.piecewise import value
 from hotgames.sampling import random_game, random_hot_game
 from hotgames.tables import SNORT_PATH_REFERENCE, snort_path_board
 
@@ -138,11 +138,11 @@ def test_c04_tightness_sequence(store):
 
 
 def _wall_dominated(version_th, original_th) -> bool:
-    lt_v, lt_o = Trajectory(version_th.left_wall), Trajectory(original_th.left_wall)
-    rt_v, rt_o = Trajectory(version_th.right_wall), Trajectory(original_th.right_wall)
-    ts = {t for t, _ in lt_v.points + lt_o.points + rt_v.points + rt_o.points}
+    lt_v, lt_o = version_th.left_wall, original_th.left_wall
+    rt_v, rt_o = version_th.right_wall, original_th.right_wall
+    ts = {t for t, _ in lt_v + lt_o + rt_v + rt_o}
     return all(
-        lt_v.value(t) <= lt_o.value(t) and rt_v.value(t) >= rt_o.value(t)
+        value(lt_v, t) <= value(lt_o, t) and value(rt_v, t) >= value(rt_o, t)
         for t in ts
     )
 

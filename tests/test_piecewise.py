@@ -3,70 +3,73 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hotgames.dyadic import Dyadic
-from hotgames.piecewise import Trajectory, merge_max, merge_min, normalize, walls
+from hotgames.piecewise import merge, normalize, validate, value, walls
 
 D = Dyadic
 
 
-def traj(*pts):
-    return Trajectory(tuple((D(t), D(x)) for t, x in pts))
+ALL_SLOPES = {-1, 0, 1}
+
+
+def wall(*pts):
+    return tuple((D(t), D(x)) for t, x in pts)
 
 
 def test_value_constant_tail():
-    t = traj((-1, 0), (2, 3))
-    assert t.value(D(-1)) == 0
-    assert t.value(D(0)) == 1
-    assert t.value(D(2)) == 3
-    assert t.value(D(100)) == 3
+    t = wall((-1, 0), (2, 3))
+    assert value(t, D(-1)) == 0
+    assert value(t, D(0)) == 1
+    assert value(t, D(2)) == 3
+    assert value(t, D(100)) == 3
 
 
 def test_value_below_domain_rejected():
     with pytest.raises(ValueError):
-        traj((-1, 0)).value(D(-2))
+        value(wall((-1, 0)), D(-2))
 
 
 def test_bad_slope_rejected():
     with pytest.raises(ValueError):
-        traj((-1, 0), (0, 5)).validate()
+        validate(wall((-1, 0), (0, 5)), ALL_SLOPES)
 
 
 def test_merge_max_crossing_is_exact():
-    a = traj((-1, 0), (3, 4))  # slope +1
-    b = traj((-1, 2))  # constant 2
-    m = merge_max([a, b])
-    assert m.value(D(0)) == 2
-    assert m.value(D(1)) == 2
-    assert m.value(D(2)) == 3
-    assert (D(1), D(2)) in m.points  # crossing breakpoint inserted
+    a = wall((-1, 0), (3, 4))  # slope +1
+    b = wall((-1, 2))  # constant 2
+    m = merge([a, b], max)
+    assert value(m, D(0)) == 2
+    assert value(m, D(1)) == 2
+    assert value(m, D(2)) == 3
+    assert (D(1), D(2)) in m  # crossing breakpoint inserted
 
 
 def test_merge_min_symmetry():
-    a = traj((-1, 0), (3, 4))
-    b = traj((-1, 2))
-    m = merge_min([a, b])
-    assert m.value(D(-1)) == 0
-    assert m.value(D(2)) == 2
+    a = wall((-1, 0), (3, 4))
+    b = wall((-1, 2))
+    m = merge([a, b], min)
+    assert value(m, D(-1)) == 0
+    assert value(m, D(2)) == 2
 
 
 def test_normalize_drops_collinear():
     t = normalize([(D(-1), D(0)), (D(0), D(1)), (D(1), D(2)), (D(2), D(2))])
-    assert t.points == ((D(-1), D(0)), (D(1), D(2)))
+    assert t == ((D(-1), D(0)), (D(1), D(2)))
 
 
 def test_walls_switch():
     # walls of {5|2}: m = const 5 (right wall of 5), w = const 2
-    t, mast, _, _ = walls(Trajectory.constant(D(5)), Trajectory.constant(D(2)))
-    assert (t, mast) == (D(3, 1), D(7, 1))
+    left, right = walls(wall((-1, 5)), wall((-1, 2)))
+    assert left[-1] == right[-1] == (D(3, 1), D(7, 1))
 
 
 def test_walls_at_start():
-    t, mast, _, _ = walls(Trajectory.constant(D(-1)), Trajectory.constant(D(1)))
-    assert (t, mast) == (D(-1), D(0))
+    left, right = walls(wall((-1, -1)), wall((-1, 1)))
+    assert left[-1] == right[-1] == (D(-1), D(0))
 
 
 def test_walls_crossed_walls_rejected():
     with pytest.raises(ValueError):
-        walls(Trajectory.constant(D(-5)), Trajectory.constant(D(5)))
+        walls(wall((-1, -5)), wall((-1, 5)))
 
 
 # -- randomized merge correctness -------------------------------------------
@@ -76,7 +79,7 @@ segments = st.lists(
 )
 
 
-def build(start: int, segs) -> Trajectory:
+def build(start: int, segs):
     t, x = D(-1), D(start)
     pts = [(t, x)]
     for dt, slope in segs:
@@ -89,15 +92,15 @@ def build(start: int, segs) -> Trajectory:
 @given(st.integers(-4, 4), segments, st.integers(-4, 4), segments, st.data())
 def test_merge_matches_pointwise(sa, ga, sb, gb, data):
     a, b = build(sa, ga), build(sb, gb)
-    hi = max(t for t, _ in a.points + b.points) + 2
-    mx, mn = merge_max([a, b]), merge_min([a, b])
-    mx.validate(), mn.validate()
+    hi = max(t for t, _ in a + b) + 2
+    mx, mn = merge([a, b], max), merge([a, b], min)
+    validate(mx, ALL_SLOPES), validate(mn, ALL_SLOPES)
     num = data.draw(st.integers(-4 * 8, int(hi) * 8))
     t = D(num, 3)
     if t < D(-1):
         t = D(-1)
-    assert mx.value(t) == max(a.value(t), b.value(t))
-    assert mn.value(t) == min(a.value(t), b.value(t))
+    assert value(mx, t) == max(value(a, t), value(b, t))
+    assert value(mn, t) == min(value(a, t), value(b, t))
 
 
 scaffold_segments = st.lists(st.tuples(st.integers(1, 4), st.booleans()), max_size=5)
@@ -109,17 +112,18 @@ def test_walls_match_pointwise(sm, gm, gap0, gw):
     # {0,-1}), and m(-1) - w(-1) + 2 = gap0 >= 0
     m = build(sm, [(dt, int(up)) for dt, up in gm])
     w = build(sm + 2 - gap0, [(dt, -int(down)) for dt, down in gw])
-    t_star, mast, left, right = walls(m, w)
+    left, right = walls(m, w)
+    t_star, mast = left[-1]
 
     def gap(t):
-        return m.value(t) - w.value(t) - t - t
+        return value(m, t) - value(w, t) - t - t
 
     grid = [D(k - 8, 3) for k in range(8 * 40)]
     assert t_star == next(t for t in grid if gap(t).num == 0)
-    assert mast == m.value(t_star) - t_star
+    assert mast == value(m, t_star) - t_star
     assert left[-1] == right[-1] == (t_star, mast)
-    assert all(x == m.value(t) - t for t, x in left)
-    assert all(x == w.value(t) + t for t, x in right)
+    assert all(x == value(m, t) - t for t, x in left)
+    assert all(x == value(w, t) + t for t, x in right)
     for t in (t for t in grid if t <= t_star):
-        assert Trajectory(left).value(t) == m.value(t) - t
-        assert Trajectory(right).value(t) == w.value(t) + t
+        assert value(left, t) == value(m, t) - t
+        assert value(right, t) == value(w, t) + t

@@ -6,6 +6,7 @@ from hotgames import (
     DomainError,
     Dyadic,
     NotHotError,
+    Thermograph,
     WrongShapeError,
     cool,
     ell,
@@ -22,6 +23,8 @@ from hotgames import (
     wall_decomposition,
 )
 from hotgames.sampling import random_dyadic, random_game, random_hot_game
+
+from oracle import wall_segments
 
 D = Dyadic
 
@@ -117,6 +120,17 @@ def test_thermograph_nested_example(store):
     # right wall vertical at -2 until 1/2, then oblique -5/2 + t
     assert th.right_wall == ((D(-1), D(-2)), (D(1, 1), D(-2)), (D(3), D(1, 1)))
     th.validate()
+
+
+def test_thermograph_walls_meet_at_temperature_and_mast(store, rng):
+    for _ in range(200):
+        th = thermograph(random_game(rng, store)).validate()
+        assert th.left_wall[-1] == th.right_wall[-1] == (th.temperature, th.mast)
+
+
+def test_thermograph_walls_that_do_not_meet_rejected():
+    with pytest.raises(ValueError):
+        Thermograph(((D(-1), D(1)),), ((D(-1), D(0)),)).validate()
 
 
 def test_thermograph_walls_cross_axis_at_stops(store, rng):
@@ -259,6 +273,19 @@ def test_decomposition_lemma_random(store, rng):
             assert dl.t_vertical + dl.t_oblique == t
             assert dr.t_vertical + dr.t_oblique == t
             assert dl.t_oblique + dr.t_oblique == ell(two)
+
+
+def test_wall_decomposition_matches_pointwise_oracle(store, rng):
+    for _ in range(150):
+        g = random_hot_game(rng, store)
+        for gl, gr in thermic_versions(g):
+            two = store.make([gl], [gr])
+            th = thermograph(two)
+            for d, wall in zip(wall_decomposition(two), (th.left_wall, th.right_wall)):
+                ts, kinds = wall_segments(wall, th.temperature)
+                assert (d.turning_points, d.kinds) == (ts, kinds)
+                vertical = [b - a for a, b, k in zip(ts, ts[1:], kinds) if k == "vertical"]
+                assert d.t_vertical == sum(vertical, D(0))
 
 
 # -- temperature upper bound --------------------------------------------------
