@@ -269,99 +269,119 @@ def _moves(position: Position) -> tuple[list[Position], list[Position]]:
 # canonical labelling (for memo keys)
 
 
-def _refine(
-    colour: list[int], nbrs: list[list[int]], deadline: Deadline
-) -> list[int]:
-    """Split each colour class by the multiset of neighbour colours until
-    no class splits. Returns ranks 0..c-1 that keep the classes in their
-    order. The deadline is checked once per round."""
-    cells = 0
-    while True:
-        deadline.check()
-        sigs = [(c, *sorted([colour[u] for u in ns])) for c, ns in zip(colour, nbrs)]
-        ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        if len(ranks) == cells:
-            return colour
-        colour = [ranks[s] for s in sigs]
-        cells = len(ranks)
-        if cells == len(colour):
-            return colour
-
-
 def canonical_key(position: Position, deadline: Deadline = Deadline()) -> tuple:
     """Isomorphism key of a position: equal exactly for positions whose
     live tinted graphs (same-tint edges dropped) are isomorphic, for every
     graph.
 
     Individualization-refinement (McKay and Piperno, "Practical graph
-    isomorphism, II", J. Symbolic Comput. 60, 2014): colours start from
-    the tints and are refined by the multiset of neighbour colours. While
-    a colour class has several vertices, each vertex of the first smallest
-    such class in turn gets a colour of its own, the colours are refined
-    again, and the search recurses. Every branch ends in a colouring with
-    one vertex per colour, an ordering, and the key is the least encoding
-    of the graph in such an ordering: the tint counts and each vertex's
-    relabelled neighbour mask. A vertex with the same neighbours as one
-    already tried in its class (apart from each other) is skipped, since
+    isomorphism, II", J. Symbolic Comput. 60, 2014) on int masks. A
+    colouring is an ordered list of disjoint vertex masks (cells). It
+    starts from the tints, free before LEFT before RIGHT, and `_refine`
+    makes it equitable. While a cell has several vertices, each vertex
+    of the first smallest such cell in turn is put in a cell of its own
+    in front of the rest, the cells are refined again from that vertex,
+    and the search goes on from there. Every branch ends in cells of one
+    vertex each, an ordering, and the key is the tint counts and the
+    least encoding of the graph in such an ordering: each vertex's live
+    neighbour mask, relabelled. A vertex with the same neighbours as one
+    already tried in its cell (apart from each other) is skipped, since
     swapping the two is an automorphism and gives the same encodings."""
     adj, alive, left, right = position
-    verts = []
+    left &= alive
+    right &= alive
+    # each vertex's live neighbours, keyed by the vertex's own bit
+    rows = {}
     todo = alive
     while todo:
         low = todo & -todo
-        verts.append(low.bit_length() - 1)
         todo ^= low
-    index = {v: i for i, v in enumerate(verts)}
-    nbrs = []
-    for v in verts:
-        ns = []
-        todo = adj[v] & alive
-        if left >> v & 1:
-            todo &= ~left
-        elif right >> v & 1:
-            todo &= ~right
-        while todo:
-            low = todo & -todo
-            ns.append(index[low.bit_length() - 1])
-            todo ^= low
-        nbrs.append(ns)
-    # free < LEFT < RIGHT, and refinement keeps that order
-    colour = [(right >> v & 1) * 2 + (left >> v & 1) for v in verts]
+        row = adj[low.bit_length() - 1] & alive
+        if low & left:
+            row &= ~left
+        elif low & right:
+            row &= ~right
+        rows[low] = row
+    cells = [c for c in (alive & ~(left | right), left, right) if c]
+    _refine(cells, cells[:], rows, deadline)
     best = None
-
-    def search(colour: list[int]) -> None:
-        nonlocal best
-        sizes = [0] * len(colour)
-        for c in colour:
-            sizes[c] += 1
-        cells = [(size, c) for c, size in enumerate(sizes) if size > 1]
-        if not cells:
-            enc = [0] * len(colour)
-            for c, ns in zip(colour, nbrs):
-                mask = 0
-                for u in ns:
-                    mask |= 1 << colour[u]
-                enc[c] = mask
+    # the search stack: (cells, index of the target cell, vertices to try)
+    frames = []
+    while True:
+        target = None
+        size = len(rows) + 1
+        for i, cell in enumerate(cells):
+            if cell & (cell - 1) and cell.bit_count() < size:
+                target, size = i, cell.bit_count()
+        if target is None:
+            label = {cell: 1 << i for i, cell in enumerate(cells)}
+            enc = []
+            for cell in cells:
+                todo = rows[cell]
+                row = 0
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    row |= label[low]
+                enc.append(row)
             enc = tuple(enc)
             if best is None or enc < best:
                 best = enc
-            return
-        target = min(cells)[1]
-        tried: list[int] = []
-        for v, c in enumerate(colour):
-            if c != target or any(_twins(nbrs, u, v) for u in tried):
+        else:
+            tried = []
+            todo = cells[target]
+            while todo:
+                v = todo & -todo
+                todo ^= v
+                row = rows[v]
+                if all(rows[u] & ~v != row & ~u for u in tried):
+                    tried.append(v)
+            frames.append((cells, target, tried))
+        while frames and not frames[-1][2]:
+            frames.pop()
+        if not frames:
+            return left.bit_count(), right.bit_count(), best
+        cells, target, tried = frames[-1]
+        v = tried.pop()
+        cells = [*cells[:target], v, cells[target] ^ v, *cells[target + 1 :]]
+        _refine(cells, [v], rows, deadline)
+
+
+def _refine(
+    cells: list[int], stack: list[int], rows: dict[int, int], deadline: Deadline
+) -> None:
+    """Refine the cells in place until, for every two cells C and S, the
+    vertices of C all have the same number of neighbours in S. Each
+    splitter S popped from the stack splits every cell that S's vertices
+    touch by that number; the parts replace the cell in increasing order
+    of it, and each is pushed. The result is equitable as long as the
+    stack starts with every cell whose counts may differ. The deadline is
+    checked once per splitter."""
+    n = len(rows)
+    while stack and len(cells) < n:
+        deadline.check()
+        s = stack.pop()
+        touched = 0
+        todo = s
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            touched |= rows[low]
+        for i in range(len(cells) - 1, -1, -1):
+            cell = cells[i]
+            hit = cell & touched
+            if not hit or not cell & (cell - 1):
                 continue
-            tried.append(v)
-            split = [2 * d + (u != v) for u, d in enumerate(colour)]
-            search(_refine(split, nbrs, deadline))
-
-    search(_refine(colour, nbrs, deadline))
-    return (left & alive).bit_count(), (right & alive).bit_count(), best
-
-
-def _twins(nbrs: list[list[int]], u: int, v: int) -> bool:
-    """Whether u and v have the same neighbours apart from each other."""
-    return {w for w in nbrs[u] if w != v} == {w for w in nbrs[v] if w != u}
+            parts = {0: cell ^ hit} if hit != cell else {}
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                count = (rows[low] & s).bit_count()
+                parts[count] = parts.get(count, 0) | low
+            if len(parts) > 1:
+                split = [parts[count] for count in sorted(parts)]
+                cells[i : i + 1] = split
+                stack += split
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +409,8 @@ def snort_game(board: SnortBoard, store: GameStore) -> Game:
 
 
 # each vertex multiplies the census by 8 to 13 (112, 853, 11,117 graphs on
-# 6, 7, 8 vertices), and `scan graphs` on 8 vertices takes about a minute
+# 6, 7, 8 vertices), and `scan graphs` on 8 vertices takes 21-24 s on a
+# 2-core VM
 GRAPH_VERTEX_CAP = 8
 
 

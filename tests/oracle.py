@@ -19,7 +19,10 @@ turn and the two reflections of a board, which only tests apply. So are
 the Snort board's own moves and components, which the evaluator
 replaced with int masks, and the isomorphism key it replaced: colour
 refinement, then the least relabelling over every ordering consistent
-with the colour classes (exact, and factorial in the class sizes). The
+with the colour classes (exact, and factorial in the class sizes).
+`refined_key` refines colour lists a whole round at a time and searches
+recursively, where the engine refines cells of vertex masks from
+splitters and searches with an explicit stack. The
 evaluator splits and keys a Snort position by its live edges only;
 `snort_live` drops the others from a board, so the tests can check that
 doing so keeps the value.
@@ -366,6 +369,67 @@ def snort_key(board: SnortBoard):
         if best is None or enc < best:
             best = enc
     return best
+
+
+def refined_key(position) -> tuple:
+    """The engine's earlier isomorphism key of an int position, kept as
+    the oracle for its classes: colour lists refined by the multiset of
+    neighbour colours, whole rounds at a time, and a recursive search
+    that individualizes each vertex of the first smallest class and
+    skips twins. Equal exactly for isomorphic live tinted graphs."""
+    adj, alive, left, right = position
+    verts = [v for v in range(alive.bit_length()) if alive >> v & 1]
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs = []
+    for v in verts:
+        live = adj[v] & alive
+        if left >> v & 1:
+            live &= ~left
+        elif right >> v & 1:
+            live &= ~right
+        nbrs.append([index[u] for u in verts if live >> u & 1])
+
+    def refine(colour: list[int]) -> list[int]:
+        cells = 0
+        while True:
+            sigs = [(c, *sorted([colour[u] for u in ns])) for c, ns in zip(colour, nbrs)]
+            ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
+            if len(ranks) == cells:
+                return colour
+            colour = [ranks[s] for s in sigs]
+            cells = len(ranks)
+            if cells == len(colour):
+                return colour
+
+    def twins(u: int, v: int) -> bool:
+        return {w for w in nbrs[u] if w != v} == {w for w in nbrs[v] if w != u}
+
+    best = None
+
+    def search(colour: list[int]) -> None:
+        nonlocal best
+        sizes = [0] * len(colour)
+        for c in colour:
+            sizes[c] += 1
+        cells = [(size, c) for c, size in enumerate(sizes) if size > 1]
+        if not cells:
+            enc = [0] * len(colour)
+            for c, ns in zip(colour, nbrs):
+                enc[c] = sum(1 << colour[u] for u in ns)
+            if best is None or tuple(enc) < best:
+                best = tuple(enc)
+            return
+        target = min(cells)[1]
+        tried: list[int] = []
+        for v, c in enumerate(colour):
+            if c != target or any(twins(u, v) for u in tried):
+                continue
+            tried.append(v)
+            search(refine([2 * d + (u != v) for u, d in enumerate(colour)]))
+
+    # free < LEFT < RIGHT, and refinement keeps that order
+    search(refine([(right >> v & 1) * 2 + (left >> v & 1) for v in verts]))
+    return (left & alive).bit_count(), (right & alive).bit_count(), best
 
 
 def raw_snort_value(board: SnortBoard, store: GameStore) -> int:

@@ -21,10 +21,12 @@ from hotgames import (
 from hotgames import snort
 from hotgames.budget import Deadline
 from hotgames.snort import _components, _moves, canonical_key, encoded_parts
+from hotgames.tables import SNORT_PATH_REFERENCE, snort_path_board
 from oracle import (
     RawOracle,
     connected_graphs_by_edge_masks,
     raw_snort_value,
+    refined_key,
     snort_components,
     snort_decode,
     snort_key,
@@ -509,6 +511,81 @@ def test_canonical_key_individualizes_where_refinement_cannot_split(rng):
     for b, key in zip(boards, keys):
         for _ in range(4):
             assert canonical_key(position(relabelled(b, rng))) == key
+
+
+def test_canonical_key_and_refined_key_induce_the_same_classes(monkeypatch):
+    # every position the evaluator keys on a grid, on the decorated paths
+    # and on the census graphs, and every grown child the census keys
+    keyed = []
+
+    def key(p, deadline=None):
+        keyed.append(p)
+        return canonical_key(p, deadline)
+
+    monkeypatch.setattr(snort, "canonical_key", key)
+    store = GameStore()
+    snort_game(snort_grid(2, 5), store)
+    for family in SNORT_PATH_REFERENCE:
+        for n in range(1, 9):
+            board = snort_path_board(family, n)
+            if board is not None:
+                snort_game(board, store)
+    for board in graph_enumerate(6):
+        snort_game(board, store)
+    assert len(keyed) > 4608
+    new_of_old = {}
+    old_of_new = {}
+    for p in keyed:
+        old, new = refined_key(p), canonical_key(p)
+        assert new_of_old.setdefault(old, new) == new
+        assert old_of_new.setdefault(new, old) == old
+    assert len(new_of_old) > 500
+
+
+def graph_position(n, edges, perm=None, left=()):
+    """The int position of a graph on vertices 0..n-1, its vertex v
+    labelled perm[v]; `left` lists the vertices tinted LEFT."""
+    perm = perm or range(n)
+    adj = [0] * n
+    for a, b in edges:
+        adj[perm[a]] |= 1 << perm[b]
+        adj[perm[b]] |= 1 << perm[a]
+    return tuple(adj), (1 << n) - 1, sum(1 << perm[v] for v in left), 0
+
+
+def cycle_edges(n, start=0):
+    return [(start + i, start + (i + 1) % n) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "n, edges, left",
+    [
+        # the Q4 hypercube and the Petersen graph: vertex-transitive, so
+        # refinement leaves one cell and only the search tells vertices apart
+        (16, [(v, v | 1 << i) for v in range(16) for i in range(4) if not v >> i & 1], ()),
+        (10, cycle_edges(5) + cycle_edges(5, 5) + [(i, 5 + (2 * i) % 5) for i in range(5)], ()),
+        (40, cycle_edges(40), ()),
+        # one LEFT end: refinement alone orders the path, one splitter at a time
+        (1000, [(i, i + 1) for i in range(999)], (0,)),
+    ],
+    ids=["Q4", "Petersen", "C40", "P1000-LEFT-end"],
+)
+def test_canonical_key_survives_relabelling(rng, n, edges, left):
+    key = canonical_key(graph_position(n, edges, left=left))
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert canonical_key(graph_position(n, edges, perm, left)) == key
+
+
+def test_canonical_key_splits_graphs_that_refinement_leaves_in_one_cell():
+    # each graph is regular, so refinement alone leaves a single cell
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+    prism = cycle_edges(3) + cycle_edges(3, 3) + [(0, 3), (1, 4), (2, 5)]
+    assert canonical_key(graph_position(6, k33)) != canonical_key(graph_position(6, prism))
+    c12 = graph_position(12, cycle_edges(12))
+    two_c6 = graph_position(12, cycle_edges(6) + cycle_edges(6, 6))
+    assert canonical_key(c12) != canonical_key(two_c6)
 
 
 def test_graph_enumeration_counts():
