@@ -1,12 +1,12 @@
 """Confusion-interval witnesses and boiling-point bounds.
 
-The witness test plays the difference G^L - G - K + eps and asks whether
-Right wins with Left moving first (i.e. whether it is <= 0). When it
-holds for every Left option, ell(G) <= K, which feeds the class-level
-temperature bound K/2 + J. The least K on a grid lies in a bracket given
-by the stops of G and of its Left options (the stop inequalities for
-sums), and a bisection inside that bracket finds it.
-"""
+The witness test asks whether Right wins G^L - G - K + eps moving
+second. As X <= Y iff X - Y <= 0, that is G^L + eps <= G + K, a
+comparison of two canonical nodes. When it holds for every Left option,
+ell(G) <= K, which feeds the class-level temperature bound K/2 + J. The
+least K on a grid lies in a bracket given by the stops of G and of its
+Left options (the stop inequalities for sums), and a bisection inside
+that bracket finds it."""
 
 from __future__ import annotations
 
@@ -21,18 +21,16 @@ from .thermal import ell, left_stop, stops, temperature
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Outcome of the test G^L - G - k + epsilon <= 0 over all G^L."""
+    """Outcome of the test G^L + eps <= G + k over all G^L."""
 
-    subject: Game
-    k: Dyadic
-    epsilon: Game
     holds: bool
     failing_option: Game | None
 
 
 def confusion_witness(g: Game, k, eps: Game | None = None) -> WitnessReport:
-    """Check Right wins G^L - G - k + eps with Left moving first, for
-    every Left option. eps must be an infinitesimal (stops (0,0))."""
+    """Check G^L + eps <= G + k, that is Right wins G^L - G - k + eps
+    with Left moving first, for every Left option. eps must be an
+    infinitesimal (stops (0,0))."""
     store = g.store
     if eps is None:
         eps = store.up
@@ -41,13 +39,10 @@ def confusion_witness(g: Game, k, eps: Game | None = None) -> WitnessReport:
         raise DomainError(f"witness constant must be >= 0, got {k}")
     if stops(eps) != (ZERO, ZERO):
         raise DomainError(f"epsilon {eps} is not an infinitesimal")
-    # G^L - G + eps <= k: the sums do not depend on k, so a search over k
-    # builds them once and never adds k's integer chain to a hot game
-    neg_g = -g
-    bound = store.number(k)
+    shifted = g + store.number(k)
     failing = None
     for gl in g.left_options:
-        if not store.add_all([gl, neg_g, eps]).leq(bound):
+        if not (gl + eps).leq(shifted):
             failing = gl
             break
     holds = failing is None
@@ -55,7 +50,7 @@ def confusion_witness(g: Game, k, eps: Game | None = None) -> WitnessReport:
         raise AssertionError(
             f"witness held at k={k} but ell({g}) = {ell(g)} > {k}; engine bug"
         )
-    return WitnessReport(g, k, eps, holds, failing)
+    return WitnessReport(holds, failing)
 
 
 def _grid_floor(x: Dyadic, step: Dyadic) -> int:

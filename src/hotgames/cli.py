@@ -177,7 +177,11 @@ def cmd_board(args, store: GameStore) -> int:
         raise ParseError("provide exactly one of a board file or --text")
     raw = args.text
     if raw is None:
-        raw = Path(args.path).read_text(encoding="utf-8")
+        try:
+            raw = Path(args.path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            where = f"{exc.reason} at byte {exc.start}"
+            raise ParseError(f"{args.path}: not UTF-8 text ({where})") from exc
     board_type, game_of = RULESETS[args.ruleset]
     board = board_type.parse(raw)
     g = game_of(board, store)

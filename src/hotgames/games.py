@@ -303,8 +303,8 @@ class GameStore:
 
         Sorting keeps the association canonical, so the same multiset of
         games always reaches the same node (more memo hits on repeated
-        sums, such as witness sums). Board evaluation sums its parts
-        through `evaluate`, which also canonicalizes after each addition.
+        sums). Board evaluation sums its parts through `evaluate`, which
+        also canonicalizes after each addition.
         """
         total = self.zero.id
         for i in sorted(self._check(g) for g in games):

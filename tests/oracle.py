@@ -9,10 +9,12 @@ recursions from the definitions, with memo tables of its own, so the
 tests can compare the two; `literal_number_value` is the structural
 number recognizer. Nodes are interned in the store under test, so
 results compare by id. The minimal witness constant, which the engine
-bisects for inside a stop bracket, is here the plain scan up the grid,
-and the graph census, which the engine grows one vertex at a time, is
-here a filter over every labelled edge set that drops the relabellings
-of each graph it keeps.
+bisects for inside a stop bracket, is here the plain scan up the grid;
+the witness itself, which the engine tests as G^L + eps <= G + k on
+canonical nodes, is here the raw sum G^L - G + eps compared with k by
+the order recursion (`raw_witness`); and the graph census, which the
+engine grows one vertex at a time, is here a filter over every labelled
+edge set that drops the relabellings of each graph it keeps.
 The Domineering evaluator works on bitboards; the cell-set components,
 moves and reflection key it replaced are kept here, with the quarter
 turn and the two reflections of a board, which only tests apply. So are
@@ -447,6 +449,22 @@ def raw_snort_value(board: SnortBoard, store: GameStore) -> int:
         return res
 
     return value(board)
+
+
+@functools.lru_cache(maxsize=1)
+def _raw_oracle(store: GameStore) -> RawOracle:
+    return RawOracle(store)
+
+
+def raw_witness(store: GameStore, g: Game, k: Dyadic, eps: Game) -> bool:
+    """The witness by its definition: G^L - G + eps <= k for every Left
+    option, with the raw sum built and compared by the recursions. The
+    raw sums and comparisons of the last store asked about are kept."""
+    raw = _raw_oracle(store)
+    bound = number_node(store, k)
+    return all(
+        raw.leq(raw.add(raw.sub(gl.id, g.id), eps.id), bound) for gl in g.left_options
+    )
 
 
 def minimal_k_by_scan(g: Game, step: Dyadic, eps: Game) -> Dyadic:

@@ -20,7 +20,7 @@ from hotgames import (
 from hotgames.sampling import random_game
 from hotgames.tables import snort_path_board
 
-from oracle import minimal_k_by_scan
+from oracle import minimal_k_by_scan, raw_witness
 
 D = Dyadic
 
@@ -77,8 +77,8 @@ def test_minimal_k_half_grid(store):
 
 def test_minimal_k_has_no_ceiling(store):
     # the stop bracket is [0, 600] and the answers lie past the old ceiling
-    # of 256; the witness sums G^L - G + eps do not depend on k, so they
-    # stay small for every eps
+    # of 256; G + k is G translated by the number k, so the compared nodes
+    # stay small for every k and eps
     g = parse_expr("{300|-300}", store)
     assert minimal_confusion_k(g, 1, store.zero) == 601
     assert minimal_confusion_k(g, 1) == 601  # eps up
@@ -110,6 +110,32 @@ def test_minimal_k_matches_linear_scan(store, rng):
                 assert minimal_confusion_k(g, step, eps) == minimal_k_by_scan(
                     g, step, eps
                 ), (g, step, eps)
+
+
+def test_witness_matches_raw_sum(store, rng):
+    # the comparison G^L + eps <= G + k against the raw sum G^L - G + eps
+    # compared with k by the definitions, at the minimal K and one step
+    # below it, on the games of the linear-scan test
+    games = []
+    for family in ("P", "LP", "LPL", "LPR"):
+        for n in range(1, 9):
+            board = snort_path_board(family, n)
+            if board is not None:
+                games.append(snort_game(board, store))
+    games += [random_game(rng, store, max_depth=2).canonical() for _ in range(200)]
+    games += [random_game(rng, store, max_depth=2, max_options=2) for _ in range(50)]
+    cases = 0
+    for g in games:
+        for eps in (store.up, store.down, store.star, store.zero):
+            for step in (D(1), D(1, 1), D(1, 2)):
+                least = minimal_confusion_k(g, step, eps)
+                for k in (least, least - step):
+                    if k >= 0:
+                        cases += 1
+                        assert confusion_witness(g, k, eps).holds == raw_witness(
+                            store, g, k, eps
+                        ), (g, k, eps)
+    assert cases == 4527
 
 
 def test_witness_soundness_random(store, rng):

@@ -70,7 +70,7 @@ def test_parse_and_format():
     "bad",
     [
         "", "x", "2\n0 0", "2\n0 5", "3\n0 1 2", "2\nL: 9",
-        "٣", "3\n٠ ١", "11\n0 1_0", "+2\n0 1",
+        "٣", "3\n٠ ١", "11\n0 1_0", "+2\n0 1", "2\n0 1\nL: 0\nR: 0",
     ],
 )
 def test_parse_errors(bad):

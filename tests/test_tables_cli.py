@@ -165,6 +165,15 @@ def test_board_file_is_closed(tmp_path):
     assert "outcome      N" in proc.stdout
 
 
+def test_board_file_not_utf8_is_a_parse_error(tmp_path, capsys):
+    p = tmp_path / "board.txt"
+    p.write_bytes(b"\xff#")
+    assert main(["board", "domineering", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_stdout_exits_0_silently(unbuffered):
     # a reader that has gone away, as with `| head`; with PYTHONUNBUFFERED
