@@ -5,8 +5,9 @@ translation. Left places vertical dominoes, Right horizontal ones.
 
 The evaluator works on bitboards: a board becomes one int with a bit per
 cell and an always-empty guard column, so move generation is a shift and
-a mask, and components are grown by bit flood fill. Values are memoized
-per connected component under a row-mask key that is invariant under
+a mask. A mask within the first two rows splits into components by
+column spans, and a taller one by bit flood fill. Values are memoized per
+connected component under a row-mask key that is invariant under
 translation and the reflection group (reflections preserve values; a
 quarter turn negates them, so rotations are deliberately left out of the
 memo key).
@@ -113,19 +114,47 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _components(mask: int, stride: int) -> Iterator[int]:
-    """The connected parts of a mask, each grown from its lowest set bit."""
-    while mask:
-        comp = mask & -mask
-        while True:
-            grown = (
-                comp | comp << 1 | comp >> 1 | comp << stride | comp >> stride
-            ) & mask
-            if grown == comp:
-                break
-            comp = grown
-        yield comp
-        mask ^= comp
+def _components(mask: int, stride: int) -> list[int]:
+    """The connected parts of a mask, in the order of their lowest set bits.
+
+    A mask within the first two rows splits by column spans: the two cells
+    of a column touch, and every path between two columns crosses each
+    column in between, so a part is a maximal run of occupied columns in
+    which each column shares an occupied row with the next. A taller mask
+    grows each part from its lowest set bit by flood fill.
+    """
+    if mask >> 2 * stride:
+        parts = []
+        while mask:
+            comp = mask & -mask
+            while True:
+                grown = (
+                    comp | comp << 1 | comp >> 1 | comp << stride | comp >> stride
+                ) & mask
+                if grown == comp:
+                    break
+                comp = grown
+            parts.append(comp)
+            mask ^= comp
+        return parts
+    top = mask & ((1 << stride) - 1)
+    bottom = mask >> stride
+    # bit c: column c shares an occupied row with column c + 1
+    links = top & top >> 1 | bottom & bottom >> 1
+    upper, lower = [], []
+    cols = top | bottom
+    while cols:
+        low = cols & -cols
+        # the carry runs through the linked columns from `low` on and
+        # stops one past the last of them
+        span = (links + low) ^ links
+        top_part = top & span
+        if top_part:
+            upper.append(top_part | (bottom & span) << stride)
+        else:
+            lower.append((bottom & span) << stride)
+        cols ^= span
+    return upper + lower
 
 
 def _reflection_key(mask: int, stride: int) -> tuple[int, ...]:

@@ -517,8 +517,11 @@ def evaluate(
     seen: dict = {}  # exact position -> memo[key(position)], for this call only
 
     def total(ps) -> int:
-        res = store.zero.id
-        for i in sorted([component(c) for c in ps]):
+        ids = sorted([component(c) for c in ps])
+        if not ids:
+            return store.zero.id
+        res = ids[0]
+        for i in ids[1:]:
             res = store._canonical(store._add(res, i))
         return res
 

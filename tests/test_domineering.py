@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -172,6 +173,27 @@ def test_bitboard_hooks_match_cell_oracle():
         pairs.add((keys.pop(), dom_reflection_key(cells)))
     # the two keys induce the same classes: each determines the other
     assert len({k for k, _ in pairs}) == len({o for _, o in pairs}) == len(pairs)
+
+
+def _two_row_masks():
+    """(mask, stride) for every mask of the first two rows of widths 1..7,
+    then seeded random ones up to width 30; stride is width + 1."""
+    rng = random.Random(27)
+    cases = [(w, bits) for w in range(1, 8) for bits in range(1 << 2 * w)]
+    cases += [(w, rng.getrandbits(2 * w)) for w in rng.choices(range(8, 31), k=3000)]
+    for w, bits in cases:
+        yield bits & ((1 << w) - 1) | bits >> w << w + 1, w + 1
+
+
+def test_two_row_split_matches_cell_oracle():
+    # the column-span split: the oracle's parts, in ascending order of
+    # lowest set bit (the flood fill's order, which fixes node ids)
+    for mask, stride in _two_row_masks():
+        parts = _components(mask, stride)
+        lows = [p & -p for p in parts]
+        assert lows == sorted(lows)
+        got = Counter(_decode(p, stride, 0, 0) for p in parts)
+        assert got == Counter(dom_components(_decode(mask, stride, 0, 0)))
 
 
 def test_2xn_temperatures_small(store):

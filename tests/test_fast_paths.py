@@ -8,7 +8,7 @@ import random
 from collections import Counter
 
 from hotgames import Dyadic, Game, GameStore
-from hotgames.domineering import dom_game, grid
+from hotgames.domineering import dom_game, drummond_cole_board, grid
 from hotgames.sampling import random_dyadic, random_game
 from hotgames.snort import snort_game, snort_grid
 from hotgames.tables import snort_path_board
@@ -148,10 +148,12 @@ def test_negative_found_before_its_node_was_marked_canonical():
 
 def test_board_node_counts_and_leq_memo():
     # stops add no node; without the stops shortcut the _leq memo holds
-    # 15,707 and 9,335 entries on these boards
+    # 15,707 and 9,335 entries on these boards, and 743 on Drummond-Cole's,
+    # whose options split both within two rows and by flood fill
     for build, nodes, leq_before in (
         (lambda s: dom_game(grid(2, 12), s), 1604, 15707),
         (lambda s: snort_game(snort_grid(2, 6), s), 673, 9335),
+        (lambda s: dom_game(drummond_cole_board(), s), 160, 743),
     ):
         store = GameStore()
         build(store)
