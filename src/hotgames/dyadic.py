@@ -3,9 +3,11 @@
 Every quantity the engine handles (stops, temperatures, thermograph
 coordinates, bound constants) is a rational with a power-of-two
 denominator. Values are normalized on construction, so equality and
-hashing are structural. Numerators are plain ints: magnitude is bounded
-only by memory, never by a machine word, and no float ever enters a
-computation.
+hashing are structural. The public constructor `Dyadic(num, exp)`
+validates its parts; arithmetic builds its results with the internal
+`_make`, which only normalizes. Numerators are plain ints: magnitude is
+bounded only by memory, never by a machine word, and no float ever
+enters a computation.
 """
 
 from __future__ import annotations
@@ -23,20 +25,16 @@ class Dyadic:
 
     __slots__ = ("num", "exp")
 
-    def __init__(self, num: int, exp: int = 0) -> None:
+    def __new__(cls, num: int, exp: int = 0) -> "Dyadic":
         if not isinstance(num, int) or not isinstance(exp, int):
             raise TypeError(f"Dyadic parts must be int, got {num!r}, {exp!r}")
         if exp < 0:
             raise ValueError(f"negative exponent: {exp}")
-        if num == 0:
-            exp = 0
-        elif exp:
-            # strip common factors of two (trailing zero bits of num)
-            shift = min(exp, (num & -num).bit_length() - 1)
-            num >>= shift
-            exp -= shift
-        self.num = num
-        self.exp = exp
+        return _make(num, exp)
+
+    def __reduce__(self):
+        # pickle and copy through the validating constructor
+        return Dyadic, (self.num, self.exp)
 
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
@@ -73,24 +71,24 @@ class Dyadic:
         if isinstance(other, Dyadic):
             return other
         if isinstance(other, int):
-            return Dyadic(other)
+            return _make(other, 0)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is Dyadic else self._coerce(other)
         if o is None:
             return NotImplemented
         e = max(self.exp, o.exp)
-        return Dyadic((self.num << (e - self.exp)) + (o.num << (e - o.exp)), e)
+        return _make((self.num << (e - self.exp)) + (o.num << (e - o.exp)), e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is Dyadic else self._coerce(other)
         if o is None:
             return NotImplemented
         e = max(self.exp, o.exp)
-        return Dyadic((self.num << (e - self.exp)) - (o.num << (e - o.exp)), e)
+        return _make((self.num << (e - self.exp)) - (o.num << (e - o.exp)), e)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -99,26 +97,26 @@ class Dyadic:
         return o - self
 
     def __neg__(self):
-        return Dyadic(-self.num, self.exp)
+        return _make(-self.num, self.exp)
 
     def __abs__(self):
-        return Dyadic(abs(self.num), self.exp)
+        return _make(abs(self.num), self.exp)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Dyadic(self.num * o.num, self.exp + o.exp)
+        return _make(self.num * o.num, self.exp + o.exp)
 
     __rmul__ = __mul__
 
     def half(self) -> "Dyadic":
-        return Dyadic(self.num, self.exp + 1)
+        return _make(self.num, self.exp + 1)
 
     # -- order ------------------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is Dyadic else self._coerce(other)
         if o is None:
             return NotImplemented
         return self.num == o.num and self.exp == o.exp
@@ -179,6 +177,27 @@ class Dyadic:
 
     def __repr__(self) -> str:
         return f"Dyadic({str(self)!r})"
+
+
+_new = object.__new__
+
+
+def _make(num: int, exp: int) -> Dyadic:
+    """num / 2**exp, normalized, for int parts with exp >= 0. Internal:
+    arithmetic on Dyadics builds its results here, without the checks of
+    the public constructor `Dyadic(num, exp)`, which validates and then
+    calls this."""
+    if num == 0:
+        exp = 0
+    elif exp:
+        # strip common factors of two (trailing zero bits of num)
+        shift = min(exp, (num & -num).bit_length() - 1)
+        num >>= shift
+        exp -= shift
+    d = _new(Dyadic)
+    d.num = num
+    d.exp = exp
+    return d
 
 
 ZERO = Dyadic(0)

@@ -361,9 +361,19 @@ class GameStore:
                     return False
                 if sb[1] > sa[0]:
                     return True
-        res = all(not self._leq(b, al) for al in self._left[a]) and all(
-            not self._leq(br, a) for br in self._right[b]
-        )
+        # plain loops, not all(...) over generators: this is the engine's
+        # hottest frame; a^L are tried before b^R, up to the first witness
+        leq = self._leq
+        res = True
+        for al in self._left[a]:
+            if leq(b, al):
+                res = False
+                break
+        else:
+            for br in self._right[b]:
+                if leq(br, a):
+                    res = False
+                    break
         memo[key] = res
         return res
 
@@ -383,33 +393,48 @@ class GameStore:
         # which `_leq` reads while either side is reduced
         left = sorted({self._canonical(l) for l in self._left[i]})
         right = sorted({self._canonical(r) for r in self._right[i]})
-        left = self._reduce(i, left, self._left, self._right, self._leq)
-        right = self._reduce(
-            i, right, self._right, self._left, lambda a, b: self._leq(b, a)
-        )
+        left = self._reduce(i, left, True)
+        right = self._reduce(i, right, False)
         res = self._node(left, right)
         self._mark_canonical(res)
         if res != i:
             memo[i] = res
         return res
 
-    def _reduce(self, i: int, opts: list[int], same, back, worse) -> list[int]:
+    def _reduce(self, i: int, opts: list[int], left: bool) -> list[int]:
         """One side's canonical options of node i, from its sorted canonical
-        children `opts`. `same` and `back` are the option tables of this
-        side and of the other, and `worse(a, b)` says a is no better than b
-        for this side's player. An option o is reversible through a reply
-        p in back[o] with worse(p, i), and its bypass is same[p]. Removing
-        dominated options and bypassing reversible ones reaches the
-        canonical form (Siegel, Combinatorial Game Theory, ch. II)."""
+        children `opts`; `left` says which side. Option a is no better than
+        b for this side's player when a <= b for Left, b <= a for Right. An
+        option o is reversible through a reply p (an option of o for the
+        other player) that is no better than i for this side's player, and
+        its bypass is p's options on this side. Removing dominated options
+        and bypassing reversible ones reaches the canonical form (Siegel,
+        Combinatorial Game Theory, ch. II). Plain loops, not generators, keep
+        the frames per `_leq` call down on this hot path."""
+        leq = self._leq
+        same, back = (self._left, self._right) if left else (self._right, self._left)
         while True:
             # drop dominated options (eq options already share one id)
-            opts = [o for o in opts if not any(p != o and worse(o, p) for p in opts)]
+            kept = []
+            for o in opts:
+                for p in opts:
+                    if p != o and (leq(o, p) if left else leq(p, o)):
+                        break
+                else:
+                    kept.append(o)
+            opts = kept
             # bypass the first reversible option, then start over
-            hit = next(((o, p) for o in opts for p in back[o] if worse(p, i)), None)
+            hit = None
+            for o in opts:
+                for p in back[o]:
+                    if leq(p, i) if left else leq(i, p):
+                        hit = p
+                        break
+                if hit is not None:
+                    break
             if hit is None:
                 return opts
-            o, p = hit
-            opts = sorted({x for x in opts if x != o} | set(same[p]))
+            opts = sorted({x for x in opts if x != o} | set(same[hit]))
 
     def _mark_canonical(self, i: int) -> None:
         """Record that node i is a canonical form, with its number value x

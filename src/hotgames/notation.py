@@ -12,7 +12,9 @@ Grammar (whitespace-insensitive, UTF-8):
 negative, and "±G" (ASCII spelling "+-", only in term position)
 abbreviates the switch {G | -G}. Numeric literals are ASCII digits and
 must be dyadic: "1/3" or "0.1" are rejected. Terms nest at most
-MAX_NESTING deep.
+MAX_NESTING deep. Each literal's text is parsed once per store: its
+number's node is kept in the store's "literal" cache, so "3" and "3.0"
+are two entries for one node.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ class _Parser:
         self.tokens = [m[1] for m in matches]
         self.offsets = [m.start(1) for m in matches]
         self.store = store
+        self.literals = store.cache("literal")  # literal text -> number node
         self.i = 0
         self.depth = 0
 
@@ -108,12 +111,16 @@ class _Parser:
             self.fail(f"unexpected {tok!r}" if tok else "expected a game")
         if tok[-1] in "/.":
             raise ParseError("expected digits", self.offsets[self.i] + len(tok))
-        try:
-            x = Dyadic.parse(tok)
-        except ValueError as exc:
-            self.fail(str(exc))
+        g = self.literals.get(tok)
+        if g is None:
+            try:
+                x = Dyadic.parse(tok)
+            except ValueError as exc:
+                self.fail(str(exc))
+            # a failed parse or an exhausted node budget caches nothing
+            g = self.literals[tok] = self.store.number(x)
         self.i += 1
-        return self.store.number(x)
+        return g
 
     def option_list(self) -> list[Game]:
         if self.tokens[self.i] in ("|", "}"):

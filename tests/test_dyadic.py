@@ -1,10 +1,13 @@
+import copy
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hotgames.dyadic import Dyadic, dyadic
+from hotgames.dyadic import Dyadic, _make, dyadic
 
 dyadics = st.builds(Dyadic, st.integers(-2000, 2000), st.integers(0, 10))
 
@@ -95,3 +98,70 @@ def test_half_doubles_back(a):
 @given(dyadics, dyadics)
 def test_subtraction_inverts_addition(a, b):
     assert (a + b) - b == a
+
+
+def _seeded_parts(seed=2024, count=400):
+    """(num, exp) pairs with zeros, negatives, even numerators and
+    exponents past 64, so the normalization shifts are exercised."""
+    rng = random.Random(seed)
+    parts = [(0, 0), (0, 70), (-1, 0), (2, 1), (-4, 2), (1 << 80, 65), (-(3 << 66), 70)]
+    for _ in range(count):
+        num = rng.choice([0, rng.randint(-1000, 1000), rng.randint(-(1 << 90), 1 << 90)])
+        num <<= rng.randint(0, 5)
+        parts.append((num, rng.choice([0, rng.randint(0, 8), rng.randint(60, 100)])))
+    return parts
+
+
+def _frac(d):
+    return Fraction(d.num, 1 << d.exp)
+
+
+def test_make_equals_validating_constructor():
+    for num, exp in _seeded_parts():
+        made, built = _make(num, exp), Dyadic(num, exp)
+        assert (made.num, made.exp) == (built.num, built.exp)
+        assert made == built and hash(made) == hash(built)
+        assert _frac(made) == Fraction(num, 1 << exp)
+
+
+def test_fast_arithmetic_matches_fraction():
+    parts = _seeded_parts()
+    rng = random.Random(7)
+    for _ in range(600):
+        a, b = Dyadic(*rng.choice(parts)), Dyadic(*rng.choice(parts))
+        fa, fb = _frac(a), _frac(b)
+        for got, want in (
+            (a + b, fa + fb),
+            (a - b, fa - fb),
+            (a * b, fa * fb),
+            (-a, -fa),
+            (abs(a), abs(fa)),
+            (a.half(), fa / 2),
+        ):
+            # each result is normalized: equal values have equal parts
+            assert _frac(got) == want
+            norm = Dyadic(got.num, got.exp)
+            assert (got.num, got.exp) == (norm.num, norm.exp)
+        assert (a == b) == (fa == fb)
+
+
+def test_mixed_operands_keep_their_behaviour():
+    assert 1 + Dyadic(1, 1) == Dyadic(3, 1)
+    assert Dyadic(1, 1) + 1 == Dyadic(3, 1)
+    assert 1 - Dyadic(1, 1) == Dyadic(1, 1)
+    assert Dyadic(2) == 2
+    assert Dyadic(1) != "1" and not (Dyadic(1) == "1")
+    with pytest.raises(TypeError):
+        Dyadic(1) + 0.5
+    with pytest.raises(TypeError):
+        Dyadic(1) - 0.5
+    with pytest.raises(TypeError):
+        Dyadic(1.0)
+    with pytest.raises(TypeError):
+        Dyadic(1, 0.5)
+
+
+def test_pickle_and_copy_go_through_the_constructor():
+    for d in (Dyadic(0), Dyadic(-3, 2), Dyadic(1 << 70, 3)):
+        assert pickle.loads(pickle.dumps(d)) == d
+        assert copy.deepcopy(d) == d

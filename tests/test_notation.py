@@ -2,7 +2,7 @@ from argparse import Namespace
 
 import pytest
 
-from hotgames import GameStore, ParseError, format_game, parse_expr, stops
+from hotgames import GameStore, NodeBudgetError, ParseError, format_game, parse_expr, stops
 from hotgames.cli import cmd_eval
 from hotgames.dyadic import Dyadic
 from hotgames.sampling import random_game
@@ -129,6 +129,40 @@ def test_parse_result_or_error_offset(store, text, expected):
         parse_expr(text, store)
     assert err.value.position == offset
     assert str(err.value) == f"syntax error at offset {offset}: {message}"
+
+
+def test_literal_cache_shares_nodes(store):
+    a = parse_expr("{3|1/2}", store)
+    b = parse_expr("3 + 1/2", store)
+    assert parse_expr("3", store).id == parse_expr("3", store).id == store.number(3).id
+    assert parse_expr("3.0", store).id == parse_expr("3", store).id
+    assert parse_expr("0.5", store).id == parse_expr("1/2", store).id
+    assert a.left_options[0].id == store.number(3).id
+    assert format_game(b) == "7/2"
+    assert store.cache("literal").keys() == {"3", "1/2", "3.0", "0.5"}
+
+
+@pytest.mark.parametrize(
+    "text, offset", [("3/", 2), ("1/", 2), ("{3|1/3}", 3), ("{0.1|0.5}", 1)]
+)
+def test_literal_cache_keeps_parse_errors(store, text, offset):
+    parse_expr("3 + 1/2", store)
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, store)
+    assert err.value.position == offset
+    # only a literal that parsed is cached
+    assert store.cache("literal").keys() <= {"3", "1/2"}
+
+
+def test_uncached_literal_under_exhausted_budget(store):
+    three = parse_expr("3", store)
+    store.max_nodes = len(store)
+    assert parse_expr("3", store) == three
+    with pytest.raises(NodeBudgetError):
+        parse_expr("4", store)
+    assert "4" not in store.cache("literal")
+    store.max_nodes = None
+    assert parse_expr("4", store) == store.number(4)
 
 
 def _history(store: GameStore) -> GameStore:
