@@ -15,13 +15,12 @@ memo key).
 
 from __future__ import annotations
 
+import re
 from importlib import resources
 from typing import Iterator
 
 from .errors import ParseError
 from .games import Game, GameStore, evaluate
-
-Cell = tuple[int, int]
 
 
 class DomBoard:
@@ -52,10 +51,10 @@ class DomBoard:
 
     @classmethod
     def parse(cls, text: str) -> "DomBoard":
-        """'#' is a cell, '.' is empty; one row per line, top row first."""
-        rows = [line for line in text.splitlines() if line.strip()]
+        """'#' is a cell; '.', '_' and ' ' are empty. Every line is a
+        row, top row first, so a blank line is an empty row."""
         cells = set()
-        for y, row in enumerate(rows):
+        for y, row in enumerate(text.splitlines()):
             for x, ch in enumerate(row):
                 if ch == "#":
                     cells.add((x, y))
@@ -216,68 +215,47 @@ def is_snake(board: DomBoard) -> bool:
 
 
 def snake_moves(board: DomBoard) -> list[str] | None:
-    """Attachment sequence over {'U','R','D'} from one end, or None."""
+    """Attachment sequence over {'U','R','D'} from one end, or None.
+
+    In a walk that steps only right, up or down, two cells that touch but
+    are not consecutive force a 2x2 block: the column runs on both sides
+    of the right step between them overlap in two rows. So on a board
+    with no 2x2 block, a walk that covers every cell is a snake, and each
+    of its steps is forced. A snake starts at an end of its first column,
+    so the walk is tried from the lowest and the highest cell of column 0.
+    """
     cells = board.cells
-    if not cells:
+    if not cells or board.has_2x2():
         return None
-    if len(cells) == 1:
-        return []
-    if board.has_2x2():
-        return None
-    deg = {}
-    for x, y in cells:
-        deg[(x, y)] = sum(
-            1
-            for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
-            if n in cells
-        )
-    ends = sorted(c for c, d in deg.items() if d == 1)
-    if len(ends) != 2 or any(d > 2 for d in deg.values()):
-        return None
-    for start in ends:
-        moves = _walk(cells, start)
-        if moves is not None:
+    column = sorted(c for c in cells if c[0] == 0)
+    for x, y in (column[0], column[-1]):
+        moves = []
+        step = "R"
+        while True:
+            if (x + 1, y) in cells:
+                x, step = x + 1, "R"
+            elif step != "D" and (x, y + 1) in cells:
+                y, step = y + 1, "U"
+            elif step != "U" and (x, y - 1) in cells:
+                y, step = y - 1, "D"
+            else:
+                break
+            moves.append(step)
+        if len(moves) == len(cells) - 1:
             return moves
     return None
-
-
-def _walk(cells: frozenset[Cell], start: Cell) -> list[str] | None:
-    seen = {start}
-    cur = start
-    moves: list[str] = []
-    while len(seen) < len(cells):
-        x, y = cur
-        step = None
-        for n, mv in (
-            ((x + 1, y), "R"),
-            ((x, y + 1), "U"),
-            ((x, y - 1), "D"),
-            ((x - 1, y), "L"),
-        ):
-            if n in cells and n not in seen:
-                step = (n, mv)
-                break
-        if step is None or step[1] == "L":
-            return None
-        cur = step[0]
-        seen.add(cur)
-        moves.append(step[1])
-    return moves
 
 
 def fold(board: DomBoard) -> DomBoard | None:
     """Fold a snake into a 2-row zigzag by alternating its vertical steps.
 
-    Returns None when the snake cannot fit a 2xN grid: a vertical run of
-    two or more cells, or a fold that would create a 2x2 block (which
-    would change the game).
+    Returns None when the snake cannot fit a 2xN grid: two vertical steps
+    in a row span three rows, and two separated by one right step would
+    fold into a 2x2 block (which would change the game).
     """
     moves = snake_moves(board)
-    if moves is None:
+    if moves is None or re.search("[UD]R?[UD]", "".join(moves)):
         return None
-    for a, b in zip(moves, moves[1:]):
-        if a in "UD" and b in "UD":
-            return None  # vertical run spanning 3+ rows
     cur = (0, 0)
     cells = {cur}
     direction = 1
@@ -288,10 +266,7 @@ def fold(board: DomBoard) -> DomBoard | None:
             cur = (cur[0], cur[1] + direction)
             direction = -direction
         cells.add(cur)
-    folded = DomBoard(cells)
-    if folded.has_2x2():
-        return None
-    return folded
+    return DomBoard(cells)
 
 
 def snake_enumerate(max_width: int) -> Iterator[DomBoard]:

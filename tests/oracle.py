@@ -28,6 +28,9 @@ splitters and searches with an explicit stack. The
 evaluator splits and keys a Snort position by its live edges only;
 `snort_live` drops the others from a board, so the tests can check that
 doing so keeps the value.
+`certify` checks each value a board evaluator memoizes against the
+memoized values of the options of the position it expanded, which
+`record_expansions` records by patching the ruleset's `_moves`.
 `wall_segments` splits a thermograph wall at its turning points and
 calls a segment vertical when the wall's x, interpolated straight from
 its breakpoints, is equal at the segment's two ends; the engine reads
@@ -449,6 +452,50 @@ def raw_snort_value(board: SnortBoard, store: GameStore) -> int:
         return res
 
     return value(board)
+
+
+def record_expansions(monkeypatch, module) -> list:
+    """Patch the ruleset module's `_moves`, which its evaluator looks up
+    at call time, so that each position `evaluate` expands is appended to
+    the returned list as (the hook's arguments, (left, right))."""
+    expanded = []
+    moves = module._moves
+
+    def recording(*args):
+        options = moves(*args)
+        expanded.append((args, options))
+        return options
+
+    monkeypatch.setattr(module, "_moves", recording)
+    return expanded
+
+
+def certify(store: GameStore, memo_name: str, expanded, components, key) -> list:
+    """The positions in `expanded` whose memoized value is not certified.
+
+    A position is certified when its memo entry equals {sum of the memo
+    entries of each Left option's components | the same for Right}, with
+    the sums and the comparison taken by `RawOracle`. By induction over
+    the game tree, every entry then is its position's value, trusting only
+    interning, the move generator, the component split and the key.
+    `components` and `key` take an option and the recorded arguments
+    after the first, as `_moves` does.
+    """
+    memo = store.cache(memo_name)
+    oracle = RawOracle(store)
+
+    def value(option, extra) -> int:
+        ids = [memo[key(c, *extra)] for c in components(option, *extra)]
+        return functools.reduce(oracle.add, ids) if ids else store.zero.id
+
+    failed = []
+    for (p, *extra), (left, right) in expanded:
+        built = store._node(
+            [value(o, extra) for o in left], [value(o, extra) for o in right]
+        )
+        if not oracle.eq(built, memo[key(p, *extra)]):
+            failed.append(p)
+    return failed
 
 
 @functools.lru_cache(maxsize=1)

@@ -21,6 +21,7 @@ from hotgames.domineering import (
     _components,
     _moves,
     _reflection_key,
+    snake_moves,
 )
 from oracle import (
     dom_components,
@@ -48,6 +49,14 @@ def test_parse_errors():
         DomBoard.parse("...\n...")
     with pytest.raises(ParseError):
         DomBoard.parse("#x#")
+
+
+def test_blank_lines_are_empty_rows(store):
+    # two horizontal dominoes two rows apart, not a 2x2 block ({1|-1})
+    for text in ("##\n..\n##", "##\n  \n##", "##\n\n##"):
+        board = DomBoard.parse(text)
+        assert board.height() == 3
+        assert dom_game(board, store) == store.number(-2)
 
 
 def test_print_round_trip():
@@ -299,6 +308,53 @@ def test_snake_moves_split_into_smaller_snakes(store):
                 assert len(comps) <= 2
                 for comp in comps:
                     assert is_snake(DomBoard(comp))
+
+
+def test_is_snake_matches_the_definition():
+    """Grow every snake of up to 12 cells by attaching each new cell at
+    the top, right or bottom of the previous one, keeping the paths whose
+    cells are distinct, touch only when consecutive and form no 2x2
+    block. `is_snake` must accept exactly those cell sets in small boxes,
+    and `snake_moves` must replay each one."""
+    max_cells = 12
+    snakes = set()
+    frontier = [((0, 0),)]
+    while frontier:
+        path = frontier.pop()
+        snakes.add(DomBoard(path))
+        if len(path) == max_cells:
+            continue
+        x, y = path[-1]
+        for nx, ny in ((x, y + 1), (x + 1, y), (x, y - 1)):
+            touching = {(nx + 1, ny), (nx - 1, ny), (nx, ny + 1), (nx, ny - 1)}
+            if (nx, ny) in path or len(touching.intersection(path)) > 1:
+                continue
+            cells = set(path) | {(nx, ny)}
+            if any(
+                {(ax, ay), (ax + 1, ay), (ax, ay + 1), (ax + 1, ay + 1)} <= cells
+                for ax in (nx - 1, nx)
+                for ay in (ny - 1, ny)
+            ):
+                continue
+            frontier.append(path + ((nx, ny),))
+    assert len(snakes) == 15357
+
+    for w, h in ((4, 3), (3, 4), (6, 2), (2, 6)):
+        box = [(x, y) for y in range(h) for x in range(w)]
+        for mask in range(1, 1 << len(box)):
+            board = DomBoard(c for i, c in enumerate(box) if mask >> i & 1)
+            assert is_snake(board) == (board in snakes), board
+
+    steps = {"U": (0, 1), "R": (1, 0), "D": (0, -1)}
+    for board in snakes:
+        cur = (0, 0)
+        replayed = [cur]
+        for mv in snake_moves(board):
+            dx, dy = steps[mv]
+            cur = (cur[0] + dx, cur[1] + dy)
+            replayed.append(cur)
+        assert len(set(replayed)) == len(board)
+        assert DomBoard(replayed) == board
 
 
 def test_non_snakes_rejected():

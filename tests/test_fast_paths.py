@@ -2,11 +2,15 @@
 `oracle.py`: number + number, number translation and the general sum,
 the stops each canonical node carries and the order questions they
 settle, iterative integer construction, and the board evaluators'
-canonical memos."""
+canonical memos, each entry certified from its options' entries."""
 
 import random
 from collections import Counter
 
+import pytest
+
+import hotgames.domineering as domineering
+import hotgames.snort as snort
 from hotgames import Dyadic, Game, GameStore
 from hotgames.domineering import dom_game, drummond_cole_board, grid
 from hotgames.sampling import random_dyadic, random_game
@@ -16,11 +20,13 @@ from hotgames.thermal import stops
 
 from oracle import (
     RawOracle,
+    certify,
     literal_number_value,
     number_node,
     raw_dom_value,
     raw_snort_value,
     raw_stops,
+    record_expansions,
 )
 
 N_PAIRS = 1000
@@ -241,3 +247,64 @@ def test_board_values_match_plain_game_trees():
             value = snort_game(board, store)
             assert value.canonical() == value
             assert oracle.eq(value.id, raw_snort_value(board, store))
+
+
+# the memo name, the module whose `_moves` is recorded, its component
+# and key hooks, and the evaluator of each board ruleset
+RULESETS = {
+    "domineering": (
+        domineering,
+        domineering._components,
+        domineering._reflection_key,
+        dom_game,
+    ),
+    "snort": (snort, snort._components, snort.canonical_key, snort_game),
+}
+
+SNORT_PATHS = [
+    board
+    for family in ("P", "LP", "LPL", "LPR")
+    for n in range(1, 11)
+    if (board := snort_path_board(family, n)) is not None
+]
+
+
+def _certify(monkeypatch, name, boards, tamper=None):
+    module, components, key, game_of = RULESETS[name]
+    store = GameStore()
+    expanded = record_expansions(monkeypatch, module)
+    for board in boards:
+        game_of(board, store)
+    memo = store.cache(name)
+    assert len(expanded) == len(memo)  # every entry comes from one expansion
+    if tamper is not None:
+        tamper(memo)
+    return expanded, certify(store, name, expanded, components, key)
+
+
+def test_every_memoized_board_value_is_certified(monkeypatch):
+    certified = 0
+    for name, boards in (
+        # 2x14 expands every position of 2x12 and more
+        ("domineering", [grid(2, 14), grid(3, 5), grid(3, 6)]),
+        ("snort", [snort_grid(2, 6), snort_grid(3, 4), *SNORT_PATHS]),
+    ):
+        expanded, failed = _certify(monkeypatch, name, boards)
+        assert failed == []
+        certified += len(expanded)
+    assert certified >= 5000
+
+
+@pytest.mark.parametrize(
+    "name, board",
+    [("domineering", grid(2, 6)), ("snort", snort_grid(2, 4))],
+    ids=["domineering", "snort"],
+)
+def test_certificate_fails_on_a_swapped_memo_entry(monkeypatch, name, board):
+    def tamper(memo):
+        # give the last entry the canonical value of another
+        last = list(memo)[-1]
+        memo[last] = next(v for v in memo.values() if v != memo[last])
+
+    _, failed = _certify(monkeypatch, name, [board], tamper)
+    assert len(failed) == 1

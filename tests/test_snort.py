@@ -623,3 +623,10 @@ def test_grid_board():
     assert b.n == 6
     assert len(b.edges) == 7
     assert b.degree() == 3
+
+
+def test_2xn_grids_past_the_published_table(store):
+    # the published table stops at 2x7; an even 2xn grid is 0, because its
+    # half turn gives the second player a mirror strategy
+    assert snort_game(snort_grid(2, 8), store) == store.zero
+    assert temperature(snort_game(snort_grid(2, 9), store)) == D(11, 2)
