@@ -219,13 +219,17 @@ def snake_moves(board: DomBoard) -> list[str] | None:
 
     In a walk that steps only right, up or down, two cells that touch but
     are not consecutive force a 2x2 block: the column runs on both sides
-    of the right step between them overlap in two rows. So on a board
-    with no 2x2 block, a walk that covers every cell is a snake, and each
-    of its steps is forced. A snake starts at an end of its first column,
-    so the walk is tried from the lowest and the highest cell of column 0.
+    of the right step between them overlap in two rows. The walk below
+    steps right whenever it can, so it leaves each column at the first
+    cell it visits there that has a right neighbour, and never returns.
+    Both left cells of a 2x2 block have one, so it visits at most one of
+    them: a walk that covers every cell proves there is no 2x2 block, and
+    is a snake whose every step is forced. A snake starts at an end of
+    its first column, so the walk is tried from the lowest and the highest
+    cell of column 0.
     """
     cells = board.cells
-    if not cells or board.has_2x2():
+    if not cells:
         return None
     column = sorted(c for c in cells if c[0] == 0)
     for x, y in (column[0], column[-1]):

@@ -3,10 +3,14 @@
 A `GameStore` interns every position as an immutable node identified by a
 small integer id; equal (leftOptions, rightOptions) pairs always map to
 the same id, so node equality is id equality and the reachable game graph
-is a shared DAG. All semantic queries (outcome, order, canonical form)
-are memoized per store, except order questions that the stops of two
-canonical nodes settle: every canonical node carries one mark, its
-stops and its number value, read off its options when it is marked.
+is a shared DAG. Outcomes and canonical forms are memoized per store.
+Order answers are memoized between canonical nodes only, except those
+that the stops of two canonical nodes settle: every canonical node
+carries one mark, its stops and its number value, read off its options
+when it is marked. A node whose canonical form is known is compared
+through that form; answers about a node with none yet (the one being
+canonicalized, or a raw handle) last until the next canonicalization
+ends.
 
 Board values come from one evaluator, `evaluate`: it takes a board's
 parts, memoizes each part's canonical value under a ruleset's symmetry
@@ -152,6 +156,8 @@ class GameStore:
     already known to be canonical, so racing writers store equal values,
     not always the same node. A node is marked canonical by one write of
     its `_marks` entry, so a thread that sees the mark sees all of it.
+    `_memo_leq_raw` is cleared whenever a canonicalization ends; a clear
+    that races another thread's comparisons only makes it recompute them.
 
     Both budgets, `max_nodes` and the wall-clock `deadline`, are checked
     whenever a new node is allocated, so any computation that grows the
@@ -169,7 +175,9 @@ class GameStore:
         self._memo_negate: dict[int, int] = {}
         self._memo_add: dict[tuple[int, int], int] = {}
         self._memo_wins: dict[tuple[int, bool], bool] = {}
-        self._memo_leq: dict[tuple[int, int], bool] = {}
+        self._memo_leq: dict[tuple[int, int], bool] = {}  # marked pairs only
+        # pairs with an operand that has no canonical form yet
+        self._memo_leq_raw: dict[tuple[int, int], bool] = {}
         self._memo_canonical: dict[int, int] = {}  # unmarked nodes only
         # canonical node -> (left stop, right stop, number value or None)
         self._marks: dict[int, tuple[Dyadic, Dyadic, Dyadic | None]] = {}
@@ -351,16 +359,28 @@ class GameStore:
         got = memo.get(key)
         if got is not None:
             return got
-        # stops are order-preserving, and R(b) > L(a) gives a < b (Siegel,
-        # Combinatorial Game Theory, ch. II); such answers are not memoized
-        sa = self._marks.get(a)
-        if sa is not None:
-            sb = self._marks.get(b)
-            if sb is not None:
-                if sa[0] > sb[0] or sa[1] > sb[1]:
-                    return False
-                if sb[1] > sa[0]:
-                    return True
+        marks = self._marks
+        sa = marks.get(a)
+        sb = marks.get(b)
+        if sa is not None and sb is not None:
+            # stops are order-preserving, and R(b) > L(a) gives a < b (Siegel,
+            # Combinatorial Game Theory, ch. II); such answers are not memoized
+            if sa[0] > sb[0] or sa[1] > sb[1]:
+                return False
+            if sb[1] > sa[0]:
+                return True
+        else:
+            # <= depends only on values, so a raw operand with a known
+            # canonical form is compared through it. Any other raw operand
+            # is the node being canonicalized or a raw handle: its answers
+            # are kept until the next `_canonical` ends
+            canon = self._memo_canonical
+            if a in canon or b in canon:
+                return self._leq(canon.get(a, a), canon.get(b, b))
+            memo = self._memo_leq_raw
+            got = memo.get(key)
+            if got is not None:
+                return got
         # plain loops, not all(...) over generators: this is the engine's
         # hottest frame; a^L are tried before b^R, up to the first witness
         leq = self._leq
@@ -399,6 +419,8 @@ class GameStore:
         self._mark_canonical(res)
         if res != i:
             memo[i] = res
+        # i now has a canonical form, through which `_leq` compares it
+        self._memo_leq_raw.clear()
         return res
 
     def _reduce(self, i: int, opts: list[int], left: bool) -> list[int]:

@@ -5,6 +5,7 @@ settle, iterative integer construction, and the board evaluators'
 canonical memos, each entry certified from its options' entries."""
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -101,6 +102,33 @@ def test_leq_stops_shortcut_matches_raw_order():
             assert store._leq(a, b) == oracle.leq(a, b)
     # raw nodes carry no stops; numbers and canonical forms do
     assert min(branches[k] for k in ("no stops", "False by stops", "True by stops")) >= 1000, branches
+    # a raw node is compared through the raw table until `_canonical` ends
+    # on it, and through its canonical form from then on
+    paths = Counter()
+    for g, h in _pairs(store, 4049):
+        x = store.number(random_dyadic(rng)).id
+        for i in (g, h):
+            if i in store._marks or i in store._memo_canonical:
+                continue
+            for a, b in ((i, x), (x, i)):
+                assert store._leq(a, b) == oracle.leq(a, b)
+                assert (a, b) in store._memo_leq_raw
+            paths["raw table"] += 1
+            if store._canonical(i) == i:
+                continue
+            assert not store._memo_leq_raw
+            for a, b in ((i, x), (x, i)):
+                assert store._leq(a, b) == oracle.leq(a, b)
+            assert not store._memo_leq_raw
+            paths["redirect"] += 1
+    assert min(paths.values()) >= 100, paths
+    # order answers are memoized only between canonical nodes
+    dom_game(grid(2, 12), store)
+    for g, h in _pairs(store, 4050):
+        Game(store, g) + Game(store, h)
+    marks = store._marks
+    assert all(a in marks and b in marks for a, b in store._memo_leq)
+    assert not store._memo_leq_raw
     # every ordered pair of canonical values from one board memo
     store = GameStore()
     snort_game(snort_grid(2, 5), store)
@@ -118,6 +146,34 @@ def test_leq_stops_shortcut_matches_raw_order():
     assert branches["no stops"] == 0
     for branch in ("False by stops", "True by stops", "fall-through"):
         assert branches[branch] >= 100, branches
+
+
+def test_leq_on_a_raw_dag_is_memoized():
+    # each level's two nodes both reach both nodes of the level below, so
+    # the order recursion on these raw nodes is exponential in the depth
+    # unless its answers are memoized while no canonical form is known
+    store = GameStore()
+    g, h = store.star, store.up
+    for _ in range(22):
+        g, h = store.make([g, h], [h, store.zero]), store.make([g], [g, h])
+    oracle = RawOracle(store)
+    pairs = ((g, h), (h, g), (g, store.zero))
+    # the recursion looks `_leq` up on the store, so this counts every
+    # call and stops an unmemoized recursion early
+    calls = 0
+    leq = store._leq
+
+    def counted(a: int, b: int) -> bool:
+        nonlocal calls
+        calls += 1
+        assert calls <= 20_000, "order recursion on a raw DAG is not memoized"
+        return leq(a, b)
+
+    store._leq = counted
+    start = time.perf_counter()
+    got = [a.leq(b) for a, b in pairs]
+    assert time.perf_counter() - start < 1.0
+    assert got == [oracle.leq(a.id, b.id) for a, b in pairs]
 
 
 def test_stops_match_raw_recursion():
@@ -155,10 +211,10 @@ def test_negative_found_before_its_node_was_marked_canonical():
 def test_board_node_counts_and_leq_memo():
     # stops add no node. The ceilings 15,707, 9,335 and 743 are the _leq
     # memo sizes these boards had without the stops shortcut when it was
-    # added. With it the memo holds 6,672, 3,416 and 279 entries (15,971,
-    # 8,302 and 743 with it disabled), so the ceilings check only that it
-    # stays below those old sizes. Drummond-Cole's board is split both
-    # within two rows and by flood fill.
+    # added. The memo now holds 2,689, 2,273 and 113 entries, all between
+    # canonical nodes, so the ceilings check only that it stays below
+    # those old sizes. Drummond-Cole's board is split both within two rows
+    # and by flood fill.
     for build, nodes, leq_before in (
         (lambda s: dom_game(grid(2, 12), s), 1604, 15707),
         (lambda s: snort_game(snort_grid(2, 6), s), 673, 9335),
